@@ -33,6 +33,7 @@ import hashlib
 import os
 import threading
 from collections import OrderedDict
+from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
 import numpy as np
@@ -99,13 +100,39 @@ def _encode(obj: Any, parts: List[bytes]) -> None:
 _VERSION_STAMP: Optional[str] = None
 
 
+#: Package subtrees (and top-level modules) whose source determines the
+#: modelled numbers; hashed into :func:`model_version_stamp`.
+_MODEL_SOURCE = (
+    "arch", "mappings", "kernels", "memory", "sim", "models",
+    "calibration.py",
+)
+
+
+def _model_source_digest(package: Path) -> bytes:
+    """sha256 over every model source file under ``package``, each
+    framed by its package-relative path, in sorted order."""
+    digest = hashlib.sha256()
+    files: List[Path] = []
+    for name in _MODEL_SOURCE:
+        entry = package / name
+        files.extend([entry] if entry.is_file() else entry.rglob("*.py"))
+    for path in sorted(files):
+        relative = path.relative_to(package).as_posix().encode()
+        content = path.read_bytes()
+        digest.update(f"{len(relative)}:{len(content)}:".encode())
+        digest.update(relative + content)
+    return digest.digest()
+
+
 def model_version_stamp() -> str:
-    """Digest of the library version and the default calibration.
+    """Digest of the library version, the default calibration, and the
+    model source.
 
     Folded into every :func:`cache_key` (and used by the disk tier as
     its entry namespace) so that a modeling change — a version bump, a
-    retuned default constant — invalidates every previously persisted
-    entry instead of silently serving stale results.
+    retuned default constant, an edited mapping or machine model —
+    invalidates every previously persisted entry instead of silently
+    serving stale results.
     """
     global _VERSION_STAMP
     if _VERSION_STAMP is None:
@@ -114,6 +141,9 @@ def model_version_stamp() -> str:
 
         parts: List[bytes] = [f"version={repro.__version__};".encode()]
         _encode(DEFAULT_CALIBRATION, parts)
+        parts.append(
+            b"source=" + _model_source_digest(Path(repro.__file__).parent)
+        )
         _VERSION_STAMP = hashlib.sha256(b"".join(parts)).hexdigest()[:16]
     return _VERSION_STAMP
 

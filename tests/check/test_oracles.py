@@ -117,6 +117,30 @@ class TestDiskOracleWithTierDisabled:
         assert [r.status for r in results] == [PASS]
         assert not DISK_CACHE.keys()  # user's store untouched
 
+    def test_ephemeral_store_is_the_production_store(
+        self, monkeypatch, small_workloads
+    ):
+        from repro.perf import index
+
+        built = []
+
+        class Spy(index.PackedDiskCache):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(index, "PackedDiskCache", Spy)
+        with DISK_CACHE.disabled():
+            results = disk_cache_oracle(
+                pairs=[("corner_turn", "viram")], workloads=small_workloads
+            ) + disk_integrity_check()
+        assert [r.status for r in results] == [PASS, PASS]
+        # One temp store per oracle, of the class production runs, and
+        # each one really written through.
+        assert len(built) == 2
+        assert all(isinstance(store, type(DISK_CACHE)) for store in built)
+        assert all(store.writes == 1 for store in built)
+
     def test_forced_off_state_survives_the_oracles(self, small_workloads):
         DISK_CACHE.disable()
         try:

@@ -1,20 +1,26 @@
-"""Tests for the persistent disk tier (:mod:`repro.perf.diskcache`).
+"""Tests for the persistent disk tier (:mod:`repro.perf.index`).
 
 The contract under test: entries round-trip with integrity verification,
-concurrent writers can never publish a torn file, pruning is safe under
-contention, a corrupt entry is detected and quarantined rather than
-served, and bumping the model version stamp orphans every old entry.
+concurrent writers can never publish a torn record, pruning is safe
+under contention, a corrupt entry is detected and quarantined rather
+than served, and any model change (version, calibration, source) moves
+the version stamp and orphans every old entry.
 """
 
+import hashlib
+import json
 import multiprocessing
-import os
+import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.mappings import registry
 from repro.perf import cache as cache_module
 from repro.perf.cache import RUN_CACHE, cache_key, model_version_stamp
-from repro.perf.diskcache import DISK_CACHE, MAGIC, DiskCache
+from repro.perf.diskcache import DISK_CACHE
+from repro.perf.index import PackedDiskCache
 
 
 @pytest.fixture(autouse=True)
@@ -27,7 +33,7 @@ def fresh_memory_cache():
 
 @pytest.fixture
 def disk(tmp_path):
-    return DiskCache(tmp_path / "store")
+    return PackedDiskCache(tmp_path / "store", respect_env=False)
 
 
 # -- round-trip and encoding -------------------------------------------
@@ -43,11 +49,15 @@ class TestRoundTrip:
         assert disk.lookup("nope00") is None
         assert disk.misses == 1
 
-    def test_entry_is_magic_digest_payload(self, disk):
+    def test_entry_is_manifest_digest_plus_segment_payload(self, disk):
         disk.insert("ab1234", [1, 2, 3])
-        blob = disk._path("ab1234").read_bytes()
-        assert blob.startswith(MAGIC)
-        assert DiskCache.decode(blob) == [1, 2, 3]
+        manifest = disk.stamp_dir() / "index.manifest"
+        record = json.loads(manifest.read_bytes().splitlines()[-1])
+        segment = disk.stamp_dir() / "segments" / f"seg-{record['s']:05d}.bin"
+        payload = segment.read_bytes()[record["o"]:record["o"] + record["n"]]
+        assert record["k"] == "ab1234"
+        assert hashlib.sha256(payload).hexdigest() == record["d"]
+        assert pickle.loads(payload) == [1, 2, 3]
 
     def test_kernel_run_round_trips_field_identical(self, disk, small_ct):
         run = registry.run(
@@ -79,22 +89,16 @@ class TestCorruption:
         assert disk.corrupt_bytes("ab1234")
         assert disk.lookup("ab1234") is None
         assert disk.corrupt == 1 and disk.misses == 1
-        # Quarantined: the bad file is gone, the key can be re-written.
-        assert not disk._path("ab1234").exists()
+        # Quarantined: the bad record is tombstoned, the key can be
+        # re-written.
+        assert not disk.contains("ab1234")
+        assert disk.quarantined == 1
         disk.insert("ab1234", {"cycles": 42.0})
         assert disk.lookup("ab1234") == {"cycles": 42.0}
 
     def test_truncated_entry_rejected(self, disk):
         disk.insert("ab1234", {"cycles": 42.0})
-        path = disk._path("ab1234")
-        path.write_bytes(path.read_bytes()[: len(MAGIC) + 10])
-        assert disk.lookup("ab1234") is None
-        assert disk.corrupt == 1
-
-    def test_bad_magic_rejected(self, disk):
-        disk.insert("ab1234", {"cycles": 42.0})
-        path = disk._path("ab1234")
-        path.write_bytes(b"not-a-cache-entry" + path.read_bytes())
+        assert disk.truncate_entry("ab1234")
         assert disk.lookup("ab1234") is None
         assert disk.corrupt == 1
 
@@ -123,6 +127,30 @@ class TestCorruption:
 class TestVersionStamp:
     def test_stamp_is_stable_within_a_version(self):
         assert model_version_stamp() == model_version_stamp()
+
+    def test_model_source_edit_moves_the_stamp(self, tmp_path, monkeypatch):
+        import repro
+
+        package = tmp_path / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent,
+            package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        old_stamp = model_version_stamp()
+        monkeypatch.setattr(repro, "__file__", str(package / "__init__.py"))
+        cache_module.reset_model_version_stamp()
+        try:
+            # Same bytes elsewhere on disk: same stamp.
+            assert model_version_stamp() == old_stamp
+            mapping = package / "mappings" / "viram_corner_turn.py"
+            mapping.write_text(mapping.read_text() + "\n# edited\n")
+            cache_module.reset_model_version_stamp()
+            assert model_version_stamp() != old_stamp
+        finally:
+            monkeypatch.undo()
+            cache_module.reset_model_version_stamp()
+        assert model_version_stamp() == old_stamp
 
     def test_version_bump_invalidates_persisted_entries(
         self, monkeypatch, small_ct
@@ -242,7 +270,6 @@ class TestPrune:
     def test_prune_by_entry_count_evicts_oldest(self, disk):
         for i in range(6):
             disk.insert(f"k{i}00", i)
-            os.utime(disk._path(f"k{i}00"), (1000.0 + i, 1000.0 + i))
         removed = disk.prune(max_entries=4)
         assert removed == 2
         assert disk.evictions == 2
@@ -260,6 +287,23 @@ class TestPrune:
         assert disk.prune(max_entries=10, max_bytes=10**9) == 0
         assert disk.contains("aa0000")
 
+    def test_recently_read_entry_survives_prune(self, disk):
+        disk.insert("aa0000", "old")
+        disk.insert("bb0000", "new")
+        assert disk.lookup("aa0000") == "old"  # refreshes its recency
+        assert disk.prune(max_entries=1) == 1
+        assert disk.keys() == ["aa0000"]
+
+    def test_damaged_survivor_dropped_by_compaction(self, disk):
+        for key in ("aa0000", "bb0000", "cc0000"):
+            disk.insert(key, key)
+        disk.corrupt_bytes("cc0000")
+        # Evicting the oldest compacts the rest; the damaged survivor
+        # is dropped rather than copied forward, and nothing raises.
+        assert disk.prune(max_entries=2) == 1
+        assert disk.keys() == ["bb0000"]
+        assert disk.verify() == []
+
     def test_clear_removes_everything_and_resets_counters(self, disk):
         disk.insert("aa0000", "x")
         disk.lookup("aa0000")
@@ -274,7 +318,7 @@ class TestPrune:
 def _hammer_writes(directory, key, worker, n_rounds):
     """Insert + lookup the same key repeatedly; any torn read trips the
     digest check and would surface as a corrupt count."""
-    cache = DiskCache(directory)
+    cache = PackedDiskCache(directory, respect_env=False)
     corrupt_seen = 0
     for i in range(n_rounds):
         cache.insert(key, {"worker": worker, "round": i})
@@ -290,7 +334,7 @@ def _worker_hammer(args):
 
 def _worker_prune(args):
     directory, n_rounds = args
-    cache = DiskCache(directory)
+    cache = PackedDiskCache(directory, respect_env=False)
     evicted = 0
     for _ in range(n_rounds):
         evicted += cache.prune(max_entries=3)
@@ -310,14 +354,14 @@ class TestConcurrency:
             )
         assert corrupt == [0, 0]
         # Whoever won the final race left one complete, valid entry.
-        survivor = DiskCache(directory)
+        survivor = PackedDiskCache(directory, respect_env=False)
         assert survivor.verify() == []
         value = survivor.lookup("race00")
         assert value is not None and value["round"] == 39
 
     def test_prune_under_contention(self, tmp_path):
         directory = str(tmp_path / "shared")
-        writer = DiskCache(directory)
+        writer = PackedDiskCache(directory, respect_env=False)
         for i in range(20):
             writer.insert(f"p{i:02d}00", i)
         with self._pool(2) as pool:

@@ -127,7 +127,7 @@ class TestTokenBudget:
 
 class TestHooks:
     def test_dead_pid_is_actually_dead(self):
-        from repro.perf.diskcache import _pid_alive
+        from repro.perf.index import _pid_alive
 
         assert not _pid_alive(chaos.dead_pid())
 
@@ -142,7 +142,7 @@ class TestHooks:
         lock = tmp_path / "store" / ".lock"
         chaos.on_lock_acquire(lock)
         record = json.loads(lock.read_text())
-        from repro.perf.diskcache import _pid_alive
+        from repro.perf.index import _pid_alive
 
         assert not _pid_alive(int(record["pid"]))
         assert time.time() - lock.stat().st_mtime > 3000
