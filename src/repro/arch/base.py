@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.kernels.opcount import OpCounts
 from repro.sim.accounting import CycleBreakdown
@@ -48,11 +46,16 @@ class MachineSpec:
 class KernelRun:
     """The result of running one kernel mapping on one machine.
 
-    Combines the *functional* outcome (``output``, checked against the
-    reference implementation by the mapping before this record is built)
-    with the *performance* outcome (``breakdown`` of cycles by category,
-    operation census, and free-form ``metrics`` such as ALU utilization
-    or percent-of-peak that the paper quotes).
+    Combines the *functional* outcome with the *performance* outcome
+    (``breakdown`` of cycles by category, operation census, and
+    free-form ``metrics`` such as ALU utilization or percent-of-peak
+    that the paper quotes).  The functional output array never leaves
+    the mapping: it is checked against the reference implementation
+    there (the verdict is ``functional_ok``) and reduced to
+    ``output_digest``, a :func:`repro.perf.cache.content_digest` of the
+    array, so records stay small in the cache tiers and across process
+    boundaries while the differential oracles can still tell two
+    outputs apart.
     """
 
     kernel: str
@@ -60,7 +63,7 @@ class KernelRun:
     spec: MachineSpec
     breakdown: CycleBreakdown
     ops: OpCounts
-    output: Optional[np.ndarray] = None
+    output_digest: Optional[str] = None
     functional_ok: bool = True
     metrics: Dict[str, Any] = field(default_factory=dict)
 

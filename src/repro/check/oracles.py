@@ -66,10 +66,10 @@ def diff_runs(a, b, rtol: float = 0.0) -> List[str]:
         diffs.append(
             f"functional_ok: {a.functional_ok} != {b.functional_ok}"
         )
-    if (a.output is None) != (b.output is None):
-        diffs.append("output: present on one run only")
-    elif a.output is not None and not np.array_equal(a.output, b.output):
-        diffs.append("output: arrays differ")
+    if a.output_digest != b.output_digest:
+        diffs.append(
+            f"output_digest: {a.output_digest!r} != {b.output_digest!r}"
+        )
     return diffs
 
 

@@ -39,8 +39,10 @@ def _plain(value):
 
 
 def kernel_run_record(run: KernelRun) -> Dict:
-    """A JSON-safe record of one kernel run (outputs omitted: they are
-    workload-sized arrays; the functional flag carries their verdict)."""
+    """A JSON-safe record of one kernel run.  The functional output is
+    omitted: the run carries only its ``output_digest``, and
+    ``functional_ok`` carries the verdict of the mapping's check of the
+    array against the kernel reference."""
     return {
         "kernel": run.kernel,
         "machine": run.machine,

@@ -14,6 +14,7 @@ traversal the cycles are charged for), and the workload parameter record.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,13 +47,25 @@ class CornerTurnWorkload:
         return self.words * WORD_BYTES
 
     def make_matrix(self, seed: int = 0) -> np.ndarray:
-        """A deterministic float32 source matrix."""
-        rng = np.random.default_rng(seed)
-        return rng.standard_normal((self.rows, self.cols)).astype(np.float32)
+        """A deterministic float32 source matrix, read-only: equal
+        arguments share one memoized array (see :func:`_source_matrix`)."""
+        return _source_matrix(self.rows, self.cols, seed)
 
     def op_counts(self) -> OpCounts:
         """The corner turn moves data: one load and one store per element."""
         return OpCounts(loads=float(self.words), stores=float(self.words))
+
+
+@lru_cache(maxsize=2)
+def _source_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
+    """Generate one seeded source matrix.  Every corner-turn mapping of
+    a report asks for the same few ``(rows, cols, seed)``; sweeps go
+    size-major, so two slots hold the current size for every machine.
+    The array is read-only because it is shared."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((rows, cols)).astype(np.float32)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def corner_turn_reference(matrix: np.ndarray) -> np.ndarray:

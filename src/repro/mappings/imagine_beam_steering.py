@@ -49,6 +49,7 @@ from repro.kernels.workloads import canonical_beam_steering
 from repro.mappings import batch
 from repro.mappings.base import resolve_calibration
 from repro.memory.streams import Gather, Sequential
+from repro.perf.cache import content_digest
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
 
@@ -156,6 +157,7 @@ def _structure(
         "mix_comms": mix.comms,
         "invocations": invocations,
         "output": output,
+        "output_digest": content_digest(output),
     }
 
 
@@ -209,7 +211,7 @@ def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
                 spec=machine.spec,
                 breakdown=breakdown,
                 ops=workload.op_counts(),
-                output=s["output"],
+                output_digest=s["output_digest"],
                 # reference is the definition; oracle in tests
                 functional_ok=True,
                 metrics={

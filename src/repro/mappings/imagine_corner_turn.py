@@ -49,6 +49,7 @@ from repro.kernels.workloads import canonical_corner_turn
 from repro.mappings import batch
 from repro.mappings.base import functional_match, require, resolve_calibration
 from repro.memory.streams import Custom, Sequential
+from repro.perf.cache import content_digest
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
 
@@ -211,6 +212,7 @@ def _structure(
         "write_activations": write_activations,
         "exceeds_srf": exceeds_srf,
         "output": output,
+        "output_digest": content_digest(output),
         "ok": ok,
     }
 
@@ -269,7 +271,7 @@ def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
                 spec=machine.spec,
                 breakdown=breakdown,
                 ops=workload.op_counts(),
-                output=s["output"],
+                output_digest=s["output_digest"],
                 functional_ok=s["ok"],
                 metrics={
                     "strips": n_strips,

@@ -53,6 +53,7 @@ from repro.kernels.workloads import canonical_cslc
 from repro.mappings import batch
 from repro.mappings.base import functional_match, resolve_calibration
 from repro.memory.streams import Sequential
+from repro.perf.cache import content_digest
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
 
@@ -242,6 +243,7 @@ def _structure(
         "fft_flops": plan.flops() * workload.transforms,
         "ops": workload.op_counts(plan),
         "output": result.outputs,
+        "output_digest": content_digest(result.outputs),
         "ok": ok,
         "cancellation_db": result.cancellation_db,
     }
@@ -334,7 +336,7 @@ def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
                 spec=machine.spec,
                 breakdown=breakdown,
                 ops=ops,
-                output=s["output"],
+                output_digest=s["output_digest"],
                 functional_ok=s["ok"],
                 metrics={
                     "cancellation_db": s["cancellation_db"],

@@ -43,6 +43,7 @@ from repro.kernels.corner_turn import (
 from repro.kernels.workloads import canonical_corner_turn
 from repro.mappings import batch
 from repro.mappings.base import functional_match, resolve_calibration
+from repro.perf.cache import content_digest
 from repro.sim.accounting import CycleBreakdown
 
 #: Scalar loop body per element: load, store, two address updates, and
@@ -145,6 +146,7 @@ def _structure_scalar(
         "write_revisits": write_revisits,
         "level": level,
         "output": output,
+        "output_digest": content_digest(output),
     }
 
 
@@ -188,7 +190,7 @@ def _evaluate_scalar(
                 spec=machine.spec,
                 breakdown=breakdown,
                 ops=workload.op_counts(),
-                output=s["output"],
+                output_digest=s["output_digest"],
                 functional_ok=True,
                 metrics={
                     "write_revisit_level": s["level"],
@@ -279,6 +281,7 @@ def _structure_altivec(
         "issue": issue,
         "miss_lines": workload.words / line_words,
         "output": output,
+        "output_digest": content_digest(output),
         "ok": ok,
     }
 
@@ -312,7 +315,7 @@ def _evaluate_altivec(
                 spec=machine.altivec_spec,
                 breakdown=breakdown,
                 ops=workload.op_counts(),
-                output=s["output"],
+                output_digest=s["output_digest"],
                 functional_ok=s["ok"],
                 metrics={
                     "block": s["block"],

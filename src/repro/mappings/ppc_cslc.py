@@ -37,6 +37,7 @@ from repro.kernels.signal import make_jammed_channels
 from repro.kernels.workloads import canonical_cslc
 from repro.mappings import batch
 from repro.mappings.base import functional_match, resolve_calibration
+from repro.perf.cache import content_digest
 from repro.sim.accounting import CycleBreakdown
 
 #: Scalar per-butterfly bookkeeping (index arithmetic + loop control).
@@ -135,6 +136,7 @@ def _structure_scalar(
         "stream_lines": stream_lines,
         "ops": workload.op_counts(plan),
         "output": result.outputs,
+        "output_digest": content_digest(result.outputs),
         "ok": ok,
         "cancellation_db": result.cancellation_db,
     }
@@ -173,7 +175,7 @@ def _evaluate_scalar(
                 spec=machine.spec,
                 breakdown=breakdown,
                 ops=s["ops"],
-                output=s["output"],
+                output_digest=s["output_digest"],
                 functional_ok=s["ok"],
                 metrics={
                     "cancellation_db": s["cancellation_db"],
@@ -276,6 +278,7 @@ def _structure_altivec(
         "stream_lines": stream_lines,
         "ops": workload.op_counts(plan),
         "output": result.outputs,
+        "output_digest": content_digest(result.outputs),
         "ok": ok,
         "cancellation_db": result.cancellation_db,
     }
@@ -315,7 +318,7 @@ def _evaluate_altivec(
                 spec=machine.altivec_spec,
                 breakdown=breakdown,
                 ops=s["ops"],
-                output=s["output"],
+                output_digest=s["output_digest"],
                 functional_ok=s["ok"],
                 metrics={
                     "cancellation_db": s["cancellation_db"],

@@ -36,6 +36,7 @@ from repro.kernels.corner_turn import (
 from repro.kernels.workloads import canonical_corner_turn
 from repro.mappings import batch
 from repro.mappings.base import functional_match, require, resolve_calibration
+from repro.perf.cache import content_digest
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
 
@@ -132,6 +133,7 @@ def _structure(
         "startup": startup,
         "port_bound": port_bound,
         "output": output,
+        "output_digest": content_digest(output),
         "ok": ok,
     }
 
@@ -181,7 +183,7 @@ def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
                 spec=machine.spec,
                 breakdown=breakdown,
                 ops=workload.op_counts(),
-                output=s["output"],
+                output_digest=s["output_digest"],
                 functional_ok=s["ok"],
                 metrics={
                     "block": BLOCK,

@@ -36,6 +36,7 @@ from repro.kernels.matmul import (
 )
 from repro.mappings import batch
 from repro.mappings.base import functional_match, resolve_calibration
+from repro.perf.cache import content_digest
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
 
@@ -146,6 +147,7 @@ def _structure(
         "comm_exposed": comm_exposed,
         "stall_scale": stall_scale,
         "output": output,
+        "output_digest": content_digest(output),
         "ok": ok,
     }
 
@@ -181,7 +183,7 @@ def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
                 spec=machine.spec,
                 breakdown=breakdown,
                 ops=s["census"],
-                output=s["output"],
+                output_digest=s["output_digest"],
                 functional_ok=s["ok"],
                 metrics={
                     "mode": mode,

@@ -8,10 +8,15 @@ five machine names match the paper's Table 3 rows (``ppc``, ``altivec``,
 Runs are memoized through two tiers: the in-process
 :data:`repro.perf.cache.RUN_CACHE` and the persistent
 :data:`repro.perf.diskcache.DISK_CACHE`.  Mappings are pure functions
-of their arguments, so a repeated ``(kernel, machine, kwargs)`` request
-is served from the first result instead of re-simulated — within this
-process from tier 1, across processes (CI jobs, fresh CLI invocations,
-pool workers) from tier 2, whose hits are promoted into tier 1.  Pass
+of their arguments, so a repeated request is served from the first
+result instead of re-simulated — within this process from tier 1,
+across processes (CI jobs, fresh CLI invocations, pool workers) from
+tier 2, whose hits are promoted into tier 1.  "Repeated" means the
+same :func:`resolved_arguments`: a request that spells out a default
+(``seed=0``, the canonical workload, the default calibration) repeats
+the one that omits it.  The records are small — each carries a digest
+of its functional output, not the array (see
+:class:`~repro.arch.base.KernelRun`).  Pass
 ``cache=False`` to force a fresh simulation (the opt-out for stateful
 experiments), or disable the tiers globally with ``REPRO_RUN_CACHE=0``
 / ``REPRO_DISK_CACHE=0``.
@@ -19,10 +24,17 @@ experiments), or disable the tiers globally with ``REPRO_RUN_CACHE=0``
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.arch.base import KernelRun
+from repro.calibration import DEFAULT_CALIBRATION
 from repro.errors import MappingError
+from repro.kernels.workloads import (
+    canonical_beam_steering,
+    canonical_corner_turn,
+    canonical_cslc,
+)
 from repro.perf import timers
 from repro.perf.cache import RUN_CACHE, cache_key
 from repro.perf.diskcache import DISK_CACHE
@@ -87,6 +99,55 @@ _BATCH_REGISTRY: Dict[Tuple[str, str], Callable[..., Any]] = {
     ("beam_steering", "imagine"): imagine_beam_steering.run_batch,
     ("beam_steering", "raw"): raw_beam_steering.run_batch,
 }
+
+
+#: Each kernel's canonical workload: what every mapping runs when called
+#: with ``workload=None`` (its ``workload or canonical_*()``).  Workloads
+#: are frozen, so one shared instance serves every request.
+_CANONICAL_WORKLOADS: Dict[str, Any] = {
+    "corner_turn": canonical_corner_turn(),
+    "cslc": canonical_cslc(),
+    "beam_steering": canonical_beam_steering(),
+}
+
+#: Each mapping's parameters and their defaults, read once from its
+#: ``inspect.signature`` by :func:`resolved_arguments`.
+_DEFAULTS: Dict[Tuple[str, str], Dict[str, Any]] = {}
+
+
+def resolved_arguments(
+    kernel: str, machine: str, kwargs: Mapping[str, Any]
+) -> Optional[Dict[str, Any]]:
+    """The arguments the mapping for ``(kernel, machine)`` really runs
+    with: ``kwargs`` over its signature's defaults, ``workload=None``
+    resolved to the kernel's canonical workload and ``calibration=None``
+    to :data:`DEFAULT_CALIBRATION`, exactly as the mappings themselves
+    resolve them.  Requests that name one computation therefore resolve
+    equal, however they spell it.
+
+    ``None`` for an unregistered pair, or for arguments the signature
+    rejects (the call itself will raise).
+    """
+    pair = (kernel, machine)
+    fn = _REGISTRY.get(pair)
+    if fn is None:
+        return None
+    defaults = _DEFAULTS.get(pair)
+    if defaults is None:
+        defaults = _DEFAULTS[pair] = {
+            name: param.default
+            for name, param in inspect.signature(fn).parameters.items()
+        }
+    if not kwargs.keys() <= defaults.keys():
+        return None
+    arguments = {**defaults, **kwargs}
+    if any(value is inspect.Parameter.empty for value in arguments.values()):
+        return None
+    if arguments.get("workload") is None:
+        arguments["workload"] = _CANONICAL_WORKLOADS[kernel]
+    if arguments.get("calibration") is None:
+        arguments["calibration"] = DEFAULT_CALIBRATION
+    return arguments
 
 
 def available() -> Tuple[Tuple[str, str], ...]:

@@ -36,6 +36,7 @@ from repro.kernels.beam_steering import (
 from repro.kernels.workloads import canonical_beam_steering
 from repro.mappings import batch
 from repro.mappings.base import resolve_calibration
+from repro.perf.cache import content_digest
 from repro.sim.accounting import CycleBreakdown
 
 
@@ -101,6 +102,7 @@ def _structure(
         "memory_issue": memory_issue,
         "instructions": instructions,
         "output": output,
+        "output_digest": content_digest(output),
     }
 
 
@@ -136,7 +138,7 @@ def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
                 spec=machine.spec,
                 breakdown=breakdown,
                 ops=s["ops"],
-                output=s["output"],
+                output_digest=s["output_digest"],
                 functional_ok=True,  # reference is the definition
                 metrics={
                     "outputs": workload.outputs,

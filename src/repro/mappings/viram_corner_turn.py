@@ -48,6 +48,7 @@ from repro.kernels.corner_turn import (
 from repro.kernels.workloads import canonical_corner_turn
 from repro.mappings import batch
 from repro.mappings.base import functional_match, require, resolve_calibration
+from repro.perf.cache import content_digest
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
 
@@ -146,6 +147,7 @@ def _structure(
         "activations": int(cost.activations.sum()),
         "tlb_misses": machine.tlb.misses,
         "output": output,
+        "output_digest": content_digest(output),
         "ok": ok,
     }
 
@@ -218,7 +220,7 @@ def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
                 spec=machine.spec,
                 breakdown=breakdown,
                 ops=workload.op_counts(),
-                output=s["output"],
+                output_digest=s["output_digest"],
                 functional_ok=s["ok"],
                 metrics={
                     "block": BLOCK,

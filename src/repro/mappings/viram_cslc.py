@@ -41,6 +41,7 @@ from repro.kernels.signal import make_jammed_channels
 from repro.kernels.workloads import canonical_cslc
 from repro.mappings import batch
 from repro.mappings.base import functional_match, resolve_calibration
+from repro.perf.cache import content_digest
 from repro.sim.accounting import CycleBreakdown
 
 
@@ -115,6 +116,7 @@ def _structure(
         "memory_words": memory_words,
         "instructions": instructions,
         "output": result.outputs,
+        "output_digest": content_digest(result.outputs),
         "ok": ok,
         "cancellation_db": result.cancellation_db,
     }
@@ -168,7 +170,7 @@ def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:
                 spec=machine.spec,
                 breakdown=breakdown,
                 ops=s["ops"],
-                output=s["output"],
+                output_digest=s["output_digest"],
                 functional_ok=s["ok"],
                 metrics={
                     "cancellation_db": s["cancellation_db"],

@@ -8,15 +8,22 @@ That determinism is what makes memoization safe — two calls with equal
 records, so the second can be served from a cache.
 
 The key is a content hash (:func:`cache_key`) over a canonical encoding
-of the arguments: frozen dataclasses (workloads, calibrations) hash by
-type and field values, numpy arrays by dtype/shape/bytes, containers
-element-wise.  Arguments the encoder does not recognise make the call
-*uncacheable* — it runs normally and is counted as a bypass, never an
-error.
+of the arguments *as the mapping resolves them*: defaults applied, and
+``workload=None`` / ``calibration=None`` replaced by the canonical
+workload and the default calibration, so one computation has one key
+however the request spells it.  Frozen dataclasses (workloads,
+calibrations) hash by type and field values, numpy arrays by
+dtype/shape/bytes, containers element-wise.  Arguments the encoder does
+not recognise make the call *uncacheable* — it runs normally and is
+counted as a bypass, never an error.
 
-Returned runs are defensively independent: the cache stores and serves
-deep copies, so mutating a result (its ``metrics`` dict, its ``output``
-array) can never corrupt later hits.
+A cached :class:`~repro.arch.base.KernelRun` is small: the mapping
+reduces its functional output to ``output_digest``
+(:func:`content_digest`) before building the record, so entries hold
+ledgers and metrics, never workload-sized arrays.  Returned runs are
+still defensively independent: the cache stores and serves deep copies,
+so mutating a result (its ``metrics`` dict, its ``breakdown``) can
+never corrupt later hits.
 
 ``repro.mappings.registry.run`` consults the process-wide
 :data:`RUN_CACHE`; disable it globally with ``RUN_CACHE.disable()`` or
@@ -34,7 +41,7 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -45,13 +52,46 @@ class _Uncacheable(Exception):
     """Internal: an argument has no canonical encoding."""
 
 
+#: Encodings of immutable dataclass values (workloads, calibrations),
+#: looked up by ``id``.  Every request key encodes a calibration, and
+#: sweeps reuse a handful of calibration objects, so this saves most of
+#: the encoding work.  Each entry holds its object, so the id cannot be
+#: reused while the entry lives; the table is cleared when full.
+_FROZEN_ENCODINGS: Dict[int, Tuple[Any, bytes]] = {}
+_FROZEN_ENCODINGS_MAX = 256
+
+
+def _immutable(obj: Any) -> bool:
+    """Whether ``obj`` can never change: a scalar, or a tuple or frozen
+    dataclass made only of immutable values."""
+    if obj is None or isinstance(
+        obj, (bool, int, float, str, bytes, np.generic)
+    ):
+        return True
+    if isinstance(obj, tuple):
+        return all(_immutable(item) for item in obj)
+    return (
+        dataclasses.is_dataclass(obj)
+        and not isinstance(obj, type)
+        and type(obj).__dataclass_params__.frozen
+        and all(
+            _immutable(getattr(obj, field.name))
+            for field in dataclasses.fields(obj)
+        )
+    )
+
+
 def _encode(obj: Any, parts: List[bytes]) -> None:
     """Append a canonical byte encoding of ``obj`` to ``parts``.
 
     The encoding is injective across the supported types (every value is
     tagged with its type) and stable across processes and sessions — no
-    ``id()``, no ``hash()``, no dict iteration order.
+    ``id()``, no ``hash()``, no dict iteration order in the bytes.
     """
+    memo = _FROZEN_ENCODINGS.get(id(obj))
+    if memo is not None and memo[0] is obj:
+        parts.append(memo[1])
+        return
     if obj is None or isinstance(obj, (bool, int)):
         parts.append(f"{type(obj).__name__}:{obj!r};".encode())
     elif isinstance(obj, float):
@@ -85,11 +125,17 @@ def _encode(obj: Any, parts: List[bytes]) -> None:
         parts.append(b")")
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         cls = type(obj)
-        parts.append(f"dc:{cls.__module__}.{cls.__qualname__}(".encode())
+        own = [f"dc:{cls.__module__}.{cls.__qualname__}(".encode()]
         for field in dataclasses.fields(obj):
-            parts.append(field.name.encode() + b"=")
-            _encode(getattr(obj, field.name), parts)
-        parts.append(b")")
+            own.append(field.name.encode() + b"=")
+            _encode(getattr(obj, field.name), own)
+        own.append(b")")
+        encoded = b"".join(own)
+        if _immutable(obj):
+            if len(_FROZEN_ENCODINGS) >= _FROZEN_ENCODINGS_MAX:
+                _FROZEN_ENCODINGS.clear()
+            _FROZEN_ENCODINGS[id(obj)] = (obj, encoded)
+        parts.append(encoded)
     else:
         raise _Uncacheable(f"no canonical encoding for {type(obj)!r}")
 
@@ -159,14 +205,24 @@ def cache_key(
     kernel: str, machine: str, kwargs: Mapping[str, Any]
 ) -> Optional[str]:
     """Stable content hash of one run request, or ``None`` if any
-    argument is uncacheable (caller should bypass the cache).  The hash
-    covers the model version stamp, so keys minted before a modeling
-    change can never collide with keys minted after it."""
+    argument is uncacheable (caller should bypass the cache).
+
+    A request to a registered mapping is keyed by its resolved arguments
+    (:func:`repro.mappings.registry.resolved_arguments`): defaults
+    applied, ``workload=None`` and ``calibration=None`` replaced by what
+    the mapping runs.  So ``{}``, ``{"seed": 0}`` and an explicit
+    canonical workload share one key and one simulation.  Any other
+    request is keyed by its raw ``kwargs``.  The hash covers the model
+    version stamp, so keys minted before a modeling change can never
+    collide with keys minted after it."""
+    from repro.mappings.registry import resolved_arguments
+
+    arguments = resolved_arguments(kernel, machine, kwargs)
     parts: List[bytes] = [
         f"{model_version_stamp()}|{kernel}|{machine}|".encode()
     ]
     try:
-        _encode(dict(kwargs), parts)
+        _encode(dict(kwargs) if arguments is None else arguments, parts)
     except _Uncacheable:
         return None
     return hashlib.sha256(b"".join(parts)).hexdigest()

@@ -63,6 +63,17 @@ class TestDiffRuns:
         b = dataclasses.replace(a, functional_ok=False)
         assert any("functional_ok" in d for d in diff_runs(a, b))
 
+    def test_output_digest_difference_detected(self, small_ct):
+        # Another seed moves other data through the same traversal: the
+        # ledger is unchanged, only the functional output differs.
+        a = registry.run("corner_turn", "viram", workload=small_ct)
+        b = registry.run("corner_turn", "viram", workload=small_ct, seed=1)
+        assert a.cycles == b.cycles
+        assert a.output_digest != b.output_digest
+        assert diff_runs(a, b) == [
+            f"output_digest: {a.output_digest!r} != {b.output_digest!r}"
+        ]
+
     def test_rtol_absorbs_float_noise(self, small_ct):
         a = registry.run("corner_turn", "viram", workload=small_ct)
         b = dataclasses.replace(

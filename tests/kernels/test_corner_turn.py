@@ -28,6 +28,18 @@ class TestWorkload:
         assert np.array_equal(w.make_matrix(1), w.make_matrix(1))
         assert not np.array_equal(w.make_matrix(1), w.make_matrix(2))
 
+    def test_matrix_memoized_and_read_only(self):
+        # Equal arguments share one generated matrix, so no caller may
+        # write into it.
+        a = CornerTurnWorkload(rows=8, cols=16).make_matrix(3)
+        b = CornerTurnWorkload(rows=8, cols=16).make_matrix(3)
+        assert a.dtype == np.float32 and a.shape == (8, 16)
+        assert a.tobytes() == b.tobytes()
+        fresh = np.random.default_rng(3).standard_normal((8, 16))
+        assert a.tobytes() == fresh.astype(np.float32).tobytes()
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+
     def test_op_counts(self):
         c = CornerTurnWorkload(rows=4, cols=8).op_counts()
         assert c.loads == 32

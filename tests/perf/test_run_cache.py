@@ -5,13 +5,26 @@ the arguments misses, and cached results are defensively independent of
 whatever the caller does to the returned object.
 """
 
+import dataclasses
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.calibration import DEFAULT_CALIBRATION
 from repro.eval.sensitivity import perturbed_calibration
-from repro.kernels.workloads import small_beam_steering, small_corner_turn
-from repro.mappings.registry import run
+from repro.kernels.corner_turn import CornerTurnWorkload
+from repro.kernels.workloads import (
+    canonical_beam_steering,
+    canonical_corner_turn,
+    canonical_cslc,
+    small_beam_steering,
+    small_corner_turn,
+)
+from repro.mappings.registry import available, run
 from repro.perf.cache import RUN_CACHE, RunCache, cache_key
 
 
@@ -61,8 +74,6 @@ class TestCacheKey:
         a = cache_key(
             "beam_steering", "raw", {"workload": small_beam_steering()}
         )
-        import dataclasses
-
         b_workload = small_beam_steering()
         perturbed = dataclasses.replace(
             b_workload, directions=b_workload.directions + 1
@@ -96,6 +107,77 @@ class TestCacheKey:
     def test_uncacheable_argument_returns_none(self):
         assert cache_key("k", "m", {"fn": lambda: None}) is None
 
+    def test_mutable_dataclass_rekeyed_after_mutation(self):
+        # Only immutable values reuse a stored encoding: a mutable
+        # dataclass, or a frozen one holding a list, is re-encoded.
+        @dataclasses.dataclass
+        class Box:
+            x: int
+
+        @dataclasses.dataclass(frozen=True)
+        class Frozen:
+            xs: list
+
+        box, frozen = Box(1), Frozen([1])
+        before = cache_key("k", "m", {"a": box, "b": frozen})
+        box.x = 2
+        after_box = cache_key("k", "m", {"a": box, "b": frozen})
+        frozen.xs.append(2)
+        after_list = cache_key("k", "m", {"a": box, "b": frozen})
+        assert len({before, after_box, after_list}) == 3
+
+
+#: Each kernel's canonical workload constructor.
+CANONICAL = {
+    "corner_turn": canonical_corner_turn,
+    "cslc": canonical_cslc,
+    "beam_steering": canonical_beam_steering,
+}
+
+
+class TestCanonicalKey:
+    """A request is keyed by what the mapping runs, not how it is
+    spelled: omitted arguments and their explicit defaults share a key."""
+
+    @pytest.mark.parametrize("kernel,machine", available())
+    def test_explicit_defaults_share_the_omitted_key(self, kernel, machine):
+        explicit = {
+            "seed": 0,
+            "workload": CANONICAL[kernel](),
+            "calibration": DEFAULT_CALIBRATION,
+        }
+        assert cache_key(kernel, machine, {}) == cache_key(
+            kernel, machine, explicit
+        )
+
+    def test_none_resolves_like_an_omitted_argument(self):
+        assert cache_key("cslc", "raw", {}) == cache_key(
+            "cslc", "raw", {"workload": None, "calibration": None}
+        )
+
+    def test_non_default_arguments_get_distinct_keys(self):
+        keys = [
+            cache_key("corner_turn", "imagine", kwargs)
+            for kwargs in (
+                {},
+                {"calibration": perturbed_calibration(
+                    "imagine", "dram_row_cycle", 1.25
+                )},
+                {"seed": 1},
+                {"workload": CornerTurnWorkload(512, 512)},
+                {"via_network_port": True},
+            )
+        ]
+        assert None not in keys
+        assert len(set(keys)) == len(keys)
+
+    def test_unknown_argument_keeps_its_raw_key(self):
+        # Arguments the mapping rejects are keyed as given (the call
+        # itself raises); they never alias a valid request.
+        assert cache_key("corner_turn", "viram", {"bogus": 1}) != cache_key(
+            "corner_turn", "viram", {}
+        )
+
 
 class TestRunMemoization:
     def test_identical_args_hit(self, small_ct):
@@ -116,10 +198,12 @@ class TestRunMemoization:
             "corner_turn", "viram", workload=small_ct,
             calibration=DEFAULT_CALIBRATION,
         )
+        # The explicit default names the computation the omitted one ran.
+        assert RUN_CACHE.hits == hits_before + 1
         b = run(
             "corner_turn", "viram", workload=small_ct, calibration=perturbed
         )
-        assert RUN_CACHE.hits == hits_before  # both were distinct keys
+        assert RUN_CACHE.hits == hits_before + 1
         assert b.cycles != a.cycles
 
     def test_cached_results_defensively_independent(self, small_ct):
@@ -186,3 +270,41 @@ class TestRunCacheStore:
         assert cache.stats() == {
             "entries": 0, "hits": 0, "misses": 0, "bypasses": 0,
         }
+
+
+class TestReportFillsTheRunTier:
+    """End to end: the canonical run a user asks for after ``repro
+    report`` is the one the report already simulated and persisted."""
+
+    def _repro(self, tmp_path, *argv):
+        repo = Path(__file__).resolve().parents[2]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            env={
+                "PYTHONPATH": str(repo / "src"),
+                "PATH": "/usr/bin:/bin",
+                "REPRO_DISK_CACHE_DIR": str(tmp_path / "tier"),
+                "REPRO_OBS": "0",
+            },
+            cwd=str(repo),
+            check=True,
+        )
+        return proc.stdout
+
+    def _entries(self, tmp_path):
+        stats = json.loads(self._repro(tmp_path, "cache", "stats", "--json"))
+        return stats["index.entries"]
+
+    def test_run_after_report_is_a_tier_hit(self, tmp_path):
+        self._repro(tmp_path, "report")
+        entries = self._entries(tmp_path)
+        assert entries > 0
+        warm = self._repro(tmp_path, "run", "corner_turn", "viram", "--json")
+        assert self._entries(tmp_path) == entries
+        cold = self._repro(
+            tmp_path, "run", "corner_turn", "viram", "--json",
+            "--no-disk-cache",
+        )
+        assert warm == cold
