@@ -27,7 +27,7 @@ import numpy as np
 from repro.arch.imagine.machine import ImagineMachine
 from repro.errors import ScheduleError
 from repro.memory.dram import DRAMCost
-from repro.memory.streams import AccessPattern
+from repro.memory.streams import AccessPattern, TemplateStream
 from repro.sim.resources import TimelineResource
 from repro.sim.schedule import DependencyScheduler, Task
 
@@ -180,24 +180,22 @@ def execute_measured(
     scheduler = DependencyScheduler()
     costs: List[OpCost] = []
 
-    # Cost every memory stream in one DRAM pass: the ops' address
-    # streams, concatenated in program order, are one ``access_run``
-    # whose open-row state threads through exactly as per-op ``access``
-    # calls would (that equivalence is the access_run contract, held to
-    # by the DRAM oracle).  A corner-turn program issues hundreds of
-    # short streams; one vectorised pass replaces per-op bank walks.
+    # Cost every memory stream in one DRAM pass: the ops' patterns, in
+    # program order, are one template stream whose open-row state
+    # threads through exactly as per-op ``access`` calls would (held to
+    # by the DRAM oracles).  A corner-turn program issues hundreds of
+    # streams of two shapes; the DRAM costs each class of shifted copies
+    # once, in bounded chunks, instead of the whole program's addresses.
     memory_ops = [op for op in program.ops if op.kind != "kernel"]
     op_cost_index: Dict[str, DRAMCost] = {}
     if memory_ops:
-        address_runs = [op.pattern.addresses() for op in memory_ops]
-        seg_lengths = np.asarray(
-            [a.size for a in address_runs], dtype=np.int64
-        )
-        rate = machine.config.controller_words_per_cycle
-        batch = machine.dram.access_run(
-            np.concatenate(address_runs) if address_runs else [],
-            seg_lengths,
-            np.full(len(memory_ops), rate, dtype=np.float64),
+        batch = machine.dram.access_templates(
+            TemplateStream.from_patterns([op.pattern for op in memory_ops]),
+            np.full(
+                len(memory_ops),
+                machine.config.controller_words_per_cycle,
+                dtype=np.float64,
+            ),
         )
         for i, op in enumerate(memory_ops):
             op_cost_index[op.name] = batch.segment(i)

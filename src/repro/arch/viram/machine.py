@@ -29,7 +29,7 @@ from repro.arch.base import MachineSpec
 from repro.calibration import DEFAULT_CALIBRATION, ViramCalibration
 from repro.errors import CapacityError, ConfigError
 from repro.memory.dram import DRAM, DRAMBatchCost, DRAMConfig, DRAMCost
-from repro.memory.streams import AccessPattern
+from repro.memory.streams import AccessPattern, TemplateStream
 from repro.memory.tlb import TLB
 from repro.arch.viram.config import ViramConfig
 from repro.trace.tracer import active_tracer
@@ -121,16 +121,16 @@ class ViramMachine:
         self.tlb.access_addresses(pattern.addresses())
         return cost
 
-    def stream_batch(self, addresses, seg_lengths, strided) -> DRAMBatchCost:
+    def stream_batch(self, stream: TemplateStream, strided) -> DRAMBatchCost:
         """Cost a program-ordered run of vector memory segments at once.
 
-        ``addresses`` is the concatenated word-address stream; segment
-        ``i`` spans the next ``seg_lengths[i]`` addresses and issues at
-        the strided (4 words/cycle) or sequential (8 words/cycle) rate
-        per ``strided[i]``.  Equivalent to a :meth:`load`/:meth:`store`
-        call per segment — same DRAM open-row evolution, same TLB miss
-        stream — but one vectorised pass, which is what makes blocked
-        mappings with tens of thousands of tiny tiles fast.
+        Segment ``i`` of ``stream`` issues at the strided (4 words/cycle)
+        or sequential (8 words/cycle) rate per ``strided[i]``.
+        Equivalent to a :meth:`load`/:meth:`store` call per segment —
+        same DRAM open-row evolution, same TLB miss stream — but the
+        DRAM and TLB cost each class of shifted segments once, which is
+        what makes blocked mappings with tens of thousands of tiny tiles
+        fast.
         """
         strided = np.asarray(strided, dtype=bool)
         rates = np.where(
@@ -138,8 +138,8 @@ class ViramMachine:
             float(self.config.strided_words_per_cycle),
             float(self.config.seq_words_per_cycle),
         )
-        cost = self.dram.access_run(addresses, seg_lengths, rates)
-        self.tlb.access_addresses(addresses)
+        cost = self.dram.access_templates(stream, rates)
+        self.tlb.access_templates(stream)
         return cost
 
     # ------------------------------------------------------------------

@@ -19,7 +19,11 @@ Tiers (the CLI's ``--fast`` / ``--full`` / ``--inject``):
 * **fast** — invariants on every registered (kernel, machine) pair, the
   trace-vs-ledger cross-check (a traced run's event stream must sum
   back to its cycle ledger and must not perturb the model), the
-  synthetic DRAM and engine oracles, the tensor-engine batch-vs-per-cell
+  synthetic DRAM and engine oracles, the folded DRAM/TLB oracles
+  (``oracle.dram.folded``, ``oracle.tlb.folded``: per-class costing of
+  template streams vs the materialised stream and the per-access
+  reference), the model-stamp coverage check
+  (``invariant.cache.stamp-covers-model``), the tensor-engine batch-vs-per-cell
   differential (``invariant.tensor.*``, :mod:`repro.check.tensor`), the
   pipeline composition invariants (``invariant.pipeline.*``,
   :mod:`repro.check.pipeline`: stage-cost additivity, footprint
@@ -48,6 +52,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional
 
 from repro.check.invariants import (
     check_engine_conservation,
+    check_stamp_coverage,
     check_trace_accounting,
     validate_results,
     validate_run,
@@ -58,6 +63,8 @@ from repro.check.oracles import (
     disk_integrity_check,
     dram_oracle,
     executor_oracle,
+    folded_dram_oracle,
+    folded_tlb_oracle,
 )
 from repro.check.indexcheck import index_checks
 from repro.check.obs import obs_checks
@@ -103,6 +110,9 @@ def run_checks(
     report.extend(check_engine_conservation())
     report.extend(check_trace_accounting(workloads=workloads))
     report.extend(dram_oracle())
+    report.extend(folded_dram_oracle())
+    report.extend(folded_tlb_oracle())
+    report.extend(check_stamp_coverage())
     report.extend(tensor_oracle(workloads=workloads))
     report.extend(disk_cache_oracle(workloads=workloads))
     report.extend(disk_integrity_check())
@@ -170,12 +180,15 @@ __all__ = [
     "TIERS",
     "cache_oracle",
     "check_engine_conservation",
+    "check_stamp_coverage",
     "check_trace_accounting",
     "continuous_validation",
     "disk_cache_oracle",
     "disk_integrity_check",
     "dram_oracle",
     "executor_oracle",
+    "folded_dram_oracle",
+    "folded_tlb_oracle",
     "index_checks",
     "obs_checks",
     "pipeline_checks",

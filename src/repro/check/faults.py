@@ -5,7 +5,8 @@ A validation subsystem that has never seen a failure is itself
 unvalidated.  Each injector here deliberately corrupts one of the
 redundant evaluation paths — a tampered cache entry, a process pool
 that misdelivers worker results, a perturbed vectorised DRAM timing
-path — and :func:`run_injection` asserts the matching oracle flags it.
+path, a DRAM fold that forgets the row the previous segment left — and
+:func:`run_injection` asserts the matching oracle flags it.
 An oracle that stays green under its own fault is a blind spot and is
 reported as UNDETECTED.
 
@@ -236,6 +237,46 @@ def perturbed_dram_timing(extra_activation_cycles: float = 1.0) -> Iterator[None
         dram_module.DRAM.access_run = original
 
 
+@contextlib.contextmanager
+def dropped_fold_boundary() -> Iterator[None]:
+    """Drop the cross-segment boundary term of the DRAM fold: each
+    segment's first access to a bank is compared with the row open
+    when the run began, not the row the bank's previous segment left.
+    Per-segment costs stay plausible, and a one-segment run is still
+    exact, so only a multi-segment differential against the per-access
+    reference can see it."""
+    import numpy as np
+
+    from repro.memory import dram as dram_module
+
+    original = dram_module._fold
+
+    def boundaryless(runs, open_rows):
+        at_start = dict(open_rows)
+        columns = [
+            original(
+                dram_module._RowRuns(
+                    *(
+                        getattr(runs, f.name)[:, i : i + 1]
+                        for f in dataclasses.fields(runs)
+                    )
+                ),
+                dict(at_start),
+            )
+            for i in range(runs.touched.shape[1])
+        ]
+        original(runs, open_rows)  # leave the true final open rows
+        return (
+            np.concatenate(columns, axis=1) if columns else runs.changes.copy()
+        )
+
+    dram_module._fold = boundaryless
+    try:
+        yield
+    finally:
+        dram_module._fold = original
+
+
 def _cache_oracle_under_fault() -> List[CheckResult]:
     return oracles.cache_oracle(pairs=[("corner_turn", "viram")])
 
@@ -246,6 +287,10 @@ def _executor_oracle_under_fault() -> List[CheckResult]:
 
 def _dram_oracle_under_fault() -> List[CheckResult]:
     return oracles.dram_oracle()
+
+
+def _folded_dram_oracle_under_fault() -> List[CheckResult]:
+    return oracles.folded_dram_oracle()
 
 
 def _disk_oracle_under_fault() -> List[CheckResult]:
@@ -287,6 +332,11 @@ SCENARIOS: Dict[str, tuple] = {
         perturbed_dram_timing,
         "dram",
         _dram_oracle_under_fault,
+    ),
+    "dram-fold-boundary-dropped": (
+        dropped_fold_boundary,
+        "dram.folded",
+        _folded_dram_oracle_under_fault,
     ),
 }
 

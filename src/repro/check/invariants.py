@@ -18,6 +18,8 @@ Each invariant encodes a cross-check the paper's authors did by hand:
   implementation (§3's setup: every kernel is verified functionally).
 * **conservation** — the discrete-event engine neither loses nor
   invents events (scheduled = processed + cancelled + pending).
+* **cache** — the model version stamp hashes every module the model
+  source imports, bar a stated exempt list.
 * **trace** — tracing only observes: a traced run's numbers equal an
   untraced run's, and the event stream it produces agrees with the
   cycle ledger two independent ways (the chrome-exported accounting
@@ -32,6 +34,9 @@ is exercised on a deterministic scenario because a finished
 
 from __future__ import annotations
 
+import functools
+import re
+from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.arch.base import KernelRun
@@ -369,3 +374,79 @@ def check_engine_conservation() -> List[CheckResult]:
         )
     )
     return results
+
+
+@functools.lru_cache(maxsize=1024)
+def _module_of(package: Path, dotted: str) -> Optional[str]:
+    """``dotted`` if it names a module or package under ``package``'s
+    parent, else ``None``."""
+    path = package.parent.joinpath(*dotted.split("."))
+    if path.with_suffix(".py").is_file() or (path / "__init__.py").is_file():
+        return dotted
+    return None
+
+
+#: A ``repro`` import statement at the start of a line: ``from repro.x
+#: import a, b`` (parenthesised lists may span lines) or ``import
+#: repro.x``.  Cheaper than parsing every model file (the check runs in
+#: every report's validation section); a test holds it equal to an
+#: ``ast`` walk over the stamped source.
+_REPRO_IMPORT = re.compile(
+    r"^[ \t]*(?:from[ \t]+(repro(?:\.\w+)*)[ \t]+import[ \t]+"
+    r"(\([^)]*\)|[^\n]*)|import[ \t]+(repro(?:\.\w+)*))",
+    re.MULTILINE,
+)
+
+
+def _repro_imports(path: Path, package: Path) -> List[str]:
+    """The ``repro`` modules ``path`` imports anywhere in its body
+    (function-local imports included), resolved to module names: a
+    ``from repro.x import y`` names ``repro.x.y`` when that is a module,
+    else ``repro.x``."""
+    names: List[str] = []
+    for match in _REPRO_IMPORT.finditer(path.read_text()):
+        module, imported, plain = match.groups()
+        if plain:
+            names.append(plain)
+            continue
+        for item in re.sub(r"#[^\n]*", "", imported).strip("()").split(","):
+            alias = item.split()[0] if item.split() else ""
+            if alias:
+                names.append(_module_of(package, f"{module}.{alias}") or module)
+    return names
+
+
+def check_stamp_coverage() -> List[CheckResult]:
+    """``invariant.cache.stamp-covers-model``: every ``repro`` module the
+    stamped model source imports is itself hashed into
+    :func:`~repro.perf.cache.model_version_stamp`, or exempt with a
+    stated reason (:data:`~repro.perf.cache.STAMP_EXEMPT`).
+
+    Every hashed file is walked, so this covers the transitive import
+    closure; exempt modules are not followed.  A module outside both
+    sets is one whose edit would leave stale cycle counts on disk.
+    """
+    import repro
+    from repro.perf.cache import STAMP_EXEMPT, model_source_files
+
+    package = Path(repro.__file__).parent
+    files = model_source_files(package)
+    stamped = set()
+    for path in files:
+        parts = path.relative_to(package.parent).with_suffix("").parts
+        stamped.add(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    unhashed: Dict[str, str] = {}
+    for path in files:
+        for module in _repro_imports(path, package):
+            if module not in stamped and module not in STAMP_EXEMPT:
+                unhashed.setdefault(
+                    module, path.relative_to(package).as_posix()
+                )
+    return [
+        _result(
+            "invariant.cache.stamp-covers-model",
+            not unhashed,
+            "model source imports modules the stamp does not hash: "
+            + ", ".join(f"{m} (from {f})" for m, f in sorted(unhashed.items())),
+        )
+    ]

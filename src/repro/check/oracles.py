@@ -26,11 +26,12 @@ CROSS_IMPL_RTOL = 1e-9
 def _close(a: Any, b: Any, rtol: float) -> bool:
     if isinstance(a, float) or isinstance(b, float):
         try:
-            return bool(
-                np.isclose(float(a), float(b), rtol=rtol, atol=0.0)
-            )
+            a, b = float(a), float(b)
         except (TypeError, ValueError):
             return False
+        if rtol == 0.0:
+            return a == b  # what np.isclose(rtol=0, atol=0) computes
+        return bool(np.isclose(a, b, rtol=rtol, atol=0.0))
     return a == b
 
 
@@ -447,3 +448,258 @@ def dram_oracle() -> List[CheckResult]:
             )
         )
     return results
+
+
+#: Seed of the fuzzed template streams behind ``oracle.dram.folded`` and
+#: ``oracle.tlb.folded`` (one stream per geometry).
+FOLDED_FUZZ_SEED = 2003
+
+
+def _fuzz_stream(rng: np.random.Generator, period: int):
+    """A random :class:`~repro.memory.streams.TemplateStream`: up to
+    three templates (strided, tiled, scattered or empty) shifted by bases
+    that mostly share a few residues mod ``period`` (so classes repeat)
+    and otherwise land anywhere."""
+    from repro.memory.streams import Strided, TemplateStream, Tiled2D
+
+    templates: List[Any] = []
+    for _ in range(int(rng.integers(1, 4))):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            templates.append(
+                Strided(
+                    0, int(rng.integers(1, 40)), int(rng.integers(1, 3 * period))
+                ).addresses()
+            )
+        elif kind == 1:
+            rows, cols = (int(x) for x in rng.integers(1, 9, 2))
+            templates.append(
+                Tiled2D(
+                    0, rows, cols, cols + int(rng.integers(0, period)),
+                    order=("row", "col")[int(rng.integers(2))],
+                ).addresses()
+            )
+        elif kind == 2:
+            templates.append(
+                rng.integers(0, 4 * period, int(rng.integers(1, 30)))
+            )
+        else:
+            templates.append([])
+    n_seg = int(rng.integers(10, 60))
+    shared = rng.integers(0, 20, n_seg) * period + rng.choice(
+        rng.integers(0, period, 3), n_seg
+    )
+    bases = np.where(
+        rng.random(n_seg) < 0.7, shared, rng.integers(0, 20 * period, n_seg)
+    )
+    return TemplateStream(
+        templates, rng.integers(0, len(templates), n_seg), bases
+    )
+
+
+def _viram_probe_stream():
+    """The VIRAM corner turn's block stream at the probe size, with the
+    machine it runs on."""
+    from repro.arch.viram.machine import ViramMachine, padded_pitch
+    from repro.check.probes import probe_workloads
+    from repro.mappings.viram_corner_turn import block_stream
+
+    workload = probe_workloads()["corner_turn"]
+    machine = ViramMachine()
+    stream, strided = block_stream(
+        workload,
+        padded_pitch(workload.cols, machine),
+        padded_pitch(workload.rows, machine),
+    )
+    rates = np.where(
+        strided,
+        float(machine.config.strided_words_per_cycle),
+        float(machine.config.seq_words_per_cycle),
+    )
+    return machine, stream, rates
+
+
+def _head(stream, n_segments: int):
+    """The first ``n_segments`` segments of a template stream."""
+    from repro.memory.streams import TemplateStream
+
+    return TemplateStream(
+        [stream.template(t) for t in range(stream.lengths.size)],
+        stream.template_ids[:n_segments],
+        stream.bases[:n_segments],
+    )
+
+
+def _folded_dram_mismatches(
+    config, stream, rates, with_reference: bool = True
+) -> List[str]:
+    """Template front end vs materialised ``access_run`` (and, with
+    ``with_reference``, vs :class:`DRAMReference`), from the same preset
+    open rows, at rtol=0."""
+    from repro.memory.dram import DRAM, DRAMReference
+    from repro.memory.streams import Custom, Strided
+
+    folded, materialised = DRAM(config), DRAM(config)
+    models = [folded, materialised]
+    if with_reference:
+        models.append(DRAMReference(config))
+    # Preset open rows: a strided walk that leaves a row open in most
+    # banks, so the fold's first boundary terms are live.
+    prime = Strided(3, 2 * config.banks, config.row_words + 1)
+    for model in models:
+        model.access(prime, rate_words_per_cycle=1.0)
+
+    a = folded.access_templates(stream, rates)
+    addresses = stream.addresses()
+    b = materialised.access_run(addresses, stream.seg_lengths, rates)
+    mismatches = [
+        f"{field}: folded != materialised"
+        for field in (
+            "words", "issue_cycles", "activation_cycles", "activations",
+            "worst",
+        )
+        if not np.array_equal(getattr(a, field), getattr(b, field))
+    ]
+    if with_reference:
+        reference = models[2]
+        offsets = np.cumsum(stream.seg_lengths)[:-1]
+        for i, segment in enumerate(np.split(addresses, offsets)):
+            ref = reference.access(
+                Custom(segment), rate_words_per_cycle=float(rates[i])
+            )
+            got = a.segment(i)
+            for field in ("activations", "issue_cycles", "activation_cycles"):
+                if getattr(got, field) != getattr(ref, field):
+                    mismatches.append(
+                        f"seg {i} {field}: folded {getattr(got, field)!r} "
+                        f"!= reference {getattr(ref, field)!r}"
+                    )
+    rows = [model.open_rows for model in models]
+    if any(r != rows[0] for r in rows):
+        mismatches.append(
+            "final open rows (folded / materialised / reference): "
+            + " / ".join(map(str, rows))
+        )
+    if (folded.total_activations, folded.total_words) != (
+        materialised.total_activations, materialised.total_words
+    ):
+        mismatches.append("total activations/words: folded != materialised")
+    return mismatches
+
+
+def folded_dram_oracle() -> List[CheckResult]:
+    """``oracle.dram.folded``: the class folding of
+    :meth:`DRAM.access_templates` against the materialised
+    :meth:`DRAM.access_run` and the per-access :class:`DRAMReference`,
+    at rtol=0, on the VIRAM corner turn's probe-size block stream and
+    on seeded fuzzed template streams over power-of-two and
+    non-power-of-two geometries, both activation policies, from preset
+    open rows."""
+    from repro.memory.dram import DRAMConfig
+
+    machine, stream, rates = _viram_probe_stream()
+    # The per-access reference replays the stream's first 32 segments
+    # (one block column of the 256x256 probe; its Python loop costs
+    # ~1 us a word); the class folding is diffed against the
+    # materialised stream in full.
+    n_head = 32
+    head = _head(stream, n_head)
+    config = machine.dram.config
+    cases = [
+        ("viram-probe", config, stream, rates, False),
+        ("viram-probe-head", config, head, rates[:n_head], True),
+    ]
+    rng = np.random.default_rng(FOLDED_FUZZ_SEED)
+    for banks, row_words, policy in (
+        (8, 64, "bank-parallel"),
+        (6, 96, "serialized"),
+        (3, 7, "bank-parallel"),
+        (4, 32, "serialized"),
+    ):
+        config = DRAMConfig(
+            name=f"folded-{banks}x{row_words}-{policy}",
+            banks=banks,
+            row_words=row_words,
+            row_cycle=float(rng.integers(1, 12)) + 0.25,
+            access_latency=2.0,
+            activation_policy=policy,
+        )
+        fuzz = _fuzz_stream(rng, banks * row_words)
+        cases.append(
+            (
+                config.name,
+                config,
+                fuzz,
+                rng.choice([1.0, 2.0, 4.0, 8.0], fuzz.n_segments),
+                True,
+            )
+        )
+    mismatches = [
+        f"{label}: {m}"
+        for label, config, case_stream, case_rates, with_reference in cases
+        for m in _folded_dram_mismatches(
+            config, case_stream, case_rates, with_reference
+        )
+    ]
+    return [
+        CheckResult(
+            "oracle.dram.folded",
+            PASS if not mismatches else FAIL,
+            "; ".join(mismatches[:4]),
+        )
+    ]
+
+
+def folded_tlb_oracle() -> List[CheckResult]:
+    """``oracle.tlb.folded``: :meth:`TLB.access_templates` against
+    :meth:`TLB.access_addresses` on the materialised stream — misses,
+    final LRU order and lookup count — from a preset LRU state, on the
+    VIRAM probe stream and on fuzzed streams small TLBs overflow (so
+    segments take both the first/last-touch replay and the
+    pass-through)."""
+    from repro.memory.tlb import TLB
+
+    machine, stream, _ = _viram_probe_stream()
+    viram = machine.tlb
+    cases = [
+        ("viram-probe", viram.entries, viram.page_words, stream),
+        # Its first block column against a TLB its blocks overflow.
+        ("viram-probe-head-small", 2, 1024, _head(stream, 32)),
+    ]
+    rng = np.random.default_rng(FOLDED_FUZZ_SEED + 1)
+    for entries, page_words in ((2, 16), (4, 50), (6, 64), (48, 16384)):
+        cases.append(
+            (
+                f"{entries}x{page_words}",
+                entries,
+                page_words,
+                _fuzz_stream(rng, 4 * page_words),
+            )
+        )
+    mismatches: List[str] = []
+    for label, entries, page_words, case_stream in cases:
+        folded = TLB(entries, page_words, miss_cycles=1.0)
+        materialised = TLB(entries, page_words, miss_cycles=1.0)
+        prime = list(range(3 * entries, 0, -2))
+        folded.access_pages(prime)
+        materialised.access_pages(prime)
+        got = folded.access_templates(case_stream)
+        want = materialised.access_addresses(case_stream.addresses())
+        for field, a, b in (
+            ("misses", got, want),
+            ("accesses", folded.accesses, materialised.accesses),
+            (
+                "LRU order",
+                folded.resident_pages,
+                materialised.resident_pages,
+            ),
+        ):
+            if a != b:
+                mismatches.append(f"{label} {field}: folded {a} != {b}")
+    return [
+        CheckResult(
+            "oracle.tlb.folded",
+            PASS if not mismatches else FAIL,
+            "; ".join(mismatches[:4]),
+        )
+    ]

@@ -26,6 +26,17 @@ def functional_match(
     return bool(np.allclose(output, reference, rtol=rtol, atol=1e-6))
 
 
+def transpose_match(output: np.ndarray, matrix: np.ndarray) -> bool:
+    """Whether a corner-turn output is exactly ``matrix.T``.
+
+    A transpose only moves words, so the check is bit-exact, and it
+    compares against the transposed view without copying it.
+    """
+    return output.shape == matrix.T.shape and bool(
+        np.array_equal(output, matrix.T)
+    )
+
+
 def resolve_calibration(calibration: Optional[Calibration]) -> Calibration:
     return calibration if calibration is not None else DEFAULT_CALIBRATION
 

@@ -44,11 +44,11 @@ from repro.arch.imagine.stream_program import (
     reschedule,
 )
 from repro.calibration import Calibration
-from repro.kernels.corner_turn import CornerTurnWorkload, corner_turn_reference
+from repro.kernels.corner_turn import CornerTurnWorkload
 from repro.kernels.workloads import canonical_corner_turn
 from repro.mappings import batch
-from repro.mappings.base import functional_match, require, resolve_calibration
-from repro.memory.streams import Custom, Sequential
+from repro.mappings.base import require, resolve_calibration, transpose_match
+from repro.memory.streams import Sequential, Tiled2D
 from repro.perf.cache import content_digest
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
@@ -132,7 +132,6 @@ def _structure(
     n_streams = min(INPUT_STREAMS, strip_rows)
     rows_per_stream = strip_rows // n_streams
 
-    dest_rows = np.arange(workload.cols, dtype=np.int64)
     dest_base = workload.words  # destination matrix follows the source
 
     # Routing kernel: every word crosses the cluster array once; each
@@ -165,15 +164,14 @@ def _structure(
         # Output stream: one strip_rows-word run per destination row
         # (eight words at the canonical strip height), non-unit stride
         # between runs.
-        write_addr = (
-            dest_base
-            + dest_rows[:, None] * dest_pitch
-            + strip * strip_rows
-            + np.arange(strip_rows)[None, :]
-        ).reshape(-1)
         program.store(
             f"store{strip}",
-            Custom(write_addr, label=f"strip{strip}-out"),
+            Tiled2D(
+                dest_base + strip * strip_rows,
+                workload.cols,
+                strip_rows,
+                dest_pitch,
+            ),
             deps=(f"kernel{strip}",),
         )
 
@@ -195,7 +193,7 @@ def _structure(
     for strip in range(n_strips):
         r0 = strip * strip_rows
         output[:, r0 : r0 + strip_rows] = matrix[r0 : r0 + strip_rows, :].T
-    ok = functional_match(output, corner_turn_reference(matrix))
+    ok = transpose_match(output, matrix)
 
     return {
         "workload": workload,

@@ -28,14 +28,10 @@ from repro.arch.base import KernelRun
 from repro.arch.raw.machine import RawMachine
 from repro.arch.raw.network import port_coords, transfer_latency
 from repro.calibration import Calibration
-from repro.kernels.corner_turn import (
-    CornerTurnWorkload,
-    blocked_corner_turn,
-    corner_turn_reference,
-)
+from repro.kernels.corner_turn import CornerTurnWorkload, blocked_corner_turn
 from repro.kernels.workloads import canonical_corner_turn
 from repro.mappings import batch
-from repro.mappings.base import functional_match, require, resolve_calibration
+from repro.mappings.base import require, resolve_calibration, transpose_match
 from repro.perf.cache import content_digest
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
@@ -119,7 +115,7 @@ def _structure(
 
     matrix = workload.make_matrix(seed)
     output = blocked_corner_turn(matrix, BLOCK)
-    ok = functional_match(output, corner_turn_reference(matrix))
+    ok = transpose_match(output, matrix)
 
     return {
         "workload": workload,

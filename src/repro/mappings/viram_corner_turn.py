@@ -33,21 +33,18 @@ DMA interface (Table 1), which then dominates the on-chip work.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.base import KernelRun
 from repro.arch.viram.machine import ViramMachine, padded_pitch
 from repro.calibration import Calibration
-from repro.kernels.corner_turn import (
-    CornerTurnWorkload,
-    blocked_corner_turn,
-    corner_turn_reference,
-)
+from repro.kernels.corner_turn import CornerTurnWorkload, blocked_corner_turn
 from repro.kernels.workloads import canonical_corner_turn
 from repro.mappings import batch
-from repro.mappings.base import functional_match, require, resolve_calibration
+from repro.mappings.base import require, resolve_calibration, transpose_match
+from repro.memory.streams import TemplateStream, Tiled2D
 from repro.perf.cache import content_digest
 from repro.sim.accounting import CycleBreakdown
 from repro.units import WORD_BYTES
@@ -102,44 +99,19 @@ def _structure(
         src_bytes + dst_bytes <= machine.config.onchip_dram_bytes
     )
 
-    # Block-column-outer order: the destination block-row's DRAM rows and
-    # page stay live across the whole sweep of source block-rows.  Each
-    # block is one strided column-major load (Tiled2D order="col") then
-    # one sequential row-major store (order="row"); the whole interleaved
-    # load/store stream is built with broadcasting and costed in a single
-    # batched pass rather than one pattern object per block.
-    dest_base = workload.rows * src_pitch  # destination follows the source
-    n_block_rows = workload.rows // BLOCK
-    n_block_cols = workload.cols // BLOCK
-    n_blocks = n_block_rows * n_block_cols
-    block_words = BLOCK * BLOCK
-
-    bj = np.repeat(np.arange(n_block_cols, dtype=np.int64), n_block_rows)
-    bi = np.tile(np.arange(n_block_rows, dtype=np.int64), n_block_cols)
-    load_bases = bi * BLOCK * src_pitch + bj * BLOCK
-    store_bases = dest_base + bj * BLOCK * dst_pitch + bi * BLOCK
-    offs = np.arange(BLOCK, dtype=np.int64)
-    load_offsets = (offs[:, None] + src_pitch * offs[None, :]).reshape(-1)
-    store_offsets = (dst_pitch * offs[:, None] + offs[None, :]).reshape(-1)
-
-    addresses = np.empty((n_blocks, 2 * block_words), dtype=np.int64)
-    addresses[:, :block_words] = load_bases[:, None] + load_offsets[None, :]
-    addresses[:, block_words:] = store_bases[:, None] + store_offsets[None, :]
-    seg_lengths = np.full(2 * n_blocks, block_words, dtype=np.int64)
-    strided = np.zeros(2 * n_blocks, dtype=bool)
-    strided[0::2] = True  # loads are strided, stores sequential
-    cost = machine.stream_batch(addresses.reshape(-1), seg_lengths, strided)
+    stream, strided = block_stream(workload, src_pitch, dst_pitch)
+    cost = machine.stream_batch(stream, strided)
 
     matrix = workload.make_matrix(seed)
     output = blocked_corner_turn(matrix, BLOCK)
-    ok = functional_match(output, corner_turn_reference(matrix))
+    ok = transpose_match(output, matrix)
 
     return {
         "workload": workload,
         "machine": machine,
         "fits_onchip": fits_onchip,
         "src_pitch": src_pitch,
-        "n_blocks": n_blocks,
+        "n_blocks": stream.n_segments // 2,
         "issue_loads": float(cost.issue_cycles[0::2].sum()),
         "issue_stores": float(cost.issue_cycles[1::2].sum()),
         "issue_cycles": cost.issue_cycles,
@@ -150,6 +122,39 @@ def _structure(
         "output_digest": content_digest(output),
         "ok": ok,
     }
+
+
+def block_stream(
+    workload: CornerTurnWorkload, src_pitch: int, dst_pitch: int
+) -> Tuple[TemplateStream, np.ndarray]:
+    """The blocked load/store stream and its per-segment strided flags.
+
+    Block-column-outer order: the destination block-row's DRAM rows and
+    page stay live across the whole sweep of source block-rows.  Each
+    block is one strided column-major load (Tiled2D order="col") then
+    one sequential row-major store (order="row"): two offset templates,
+    shifted by each block's load and store base.
+    """
+    dest_base = workload.rows * src_pitch  # destination follows the source
+    n_block_rows = workload.rows // BLOCK
+    n_block_cols = workload.cols // BLOCK
+    n_blocks = n_block_rows * n_block_cols
+
+    bj = np.repeat(np.arange(n_block_cols, dtype=np.int64), n_block_rows)
+    bi = np.tile(np.arange(n_block_rows, dtype=np.int64), n_block_cols)
+    bases = np.empty((n_blocks, 2), dtype=np.int64)
+    bases[:, 0] = bi * BLOCK * src_pitch + bj * BLOCK
+    bases[:, 1] = dest_base + bj * BLOCK * dst_pitch + bi * BLOCK
+    load = Tiled2D(0, BLOCK, BLOCK, src_pitch, order="col")
+    store = Tiled2D(0, BLOCK, BLOCK, dst_pitch, order="row")
+    stream = TemplateStream(
+        [load.addresses(), store.addresses()],
+        np.tile([0, 1], n_blocks),
+        bases.reshape(-1),
+    )
+    strided = np.zeros(2 * n_blocks, dtype=bool)
+    strided[0::2] = True  # loads are strided, stores sequential
+    return stream, strided
 
 
 def _evaluate(s: Dict, cals: Sequence[Calibration]) -> List[KernelRun]:

@@ -1,7 +1,8 @@
 """Memory-system models shared by the four machine models.
 
 * :mod:`repro.memory.streams` — address-pattern descriptors (sequential,
-  strided, tiled, gather) that kernels hand to the memory models.
+  strided, tiled, gather) that kernels hand to the memory models, and
+  template streams (segments as shifted copies of a few templates).
 * :mod:`repro.memory.dram` — banked DRAM with open-row state, activate/
   precharge exposure, and per-machine organization configs.
 * :mod:`repro.memory.cache` — set-associative write-back caches with
@@ -21,6 +22,7 @@ from repro.memory.streams import (
     Gather,
     Sequential,
     Strided,
+    TemplateStream,
     Tiled2D,
 )
 from repro.memory.tlb import TLB
@@ -41,5 +43,6 @@ __all__ = [
     "Sequential",
     "Strided",
     "TLB",
+    "TemplateStream",
     "Tiled2D",
 ]

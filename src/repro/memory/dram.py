@@ -35,20 +35,21 @@ stream) depends on the memory controller:
 
 Two implementations are provided and cross-validated by tests:
 
-* :class:`DRAM` — vectorised (numpy) stateful costing of whole patterns.
+* :class:`DRAM` — vectorised (numpy) stateful costing of whole patterns,
+  folded per class of shifted segments for template streams.
 * :class:`DRAMReference` — a per-access pure-Python simulator with
   identical semantics, used as the test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.memory.streams import AccessPattern
+from repro.memory.streams import AccessPattern, TemplateStream, gather_shifted
 from repro.trace.tracer import TRACK_SEP, active_tracer
 
 _POLICIES = ("bank-parallel", "serialized")
@@ -169,27 +170,195 @@ class DRAMBatchCost:
         )
 
 
-def _bank_and_row(addresses: np.ndarray, config: DRAMConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """Map word addresses to (bank, row-within-bank) arrays.
+#: Class addresses materialised per kernel call.  Bounds the transient
+#: arrays of a large stream program to a few MB however many words it
+#: moves.
+_CHUNK_WORDS = 1 << 20
+
+
+def _is_pow2(n: int) -> bool:
+    return n & (n - 1) == 0
+
+
+def _dram_rows(addresses: np.ndarray, config: DRAMConfig) -> np.ndarray:
+    """Global DRAM-row index (``address // row_words``) of each address.
 
     Addresses are non-negative, so when the geometry is a power of two
-    (every modelled machine's is) the divisions reduce to shifts and
-    masks — int64 division has no SIMD path and dominates large runs.
+    (every modelled machine's is) the division reduces to a shift —
+    int64 division has no SIMD path and dominates large runs.
     """
-    row_words = config.row_words
-    banks = config.banks
-    if row_words & (row_words - 1) == 0 and banks & (banks - 1) == 0:
-        # Call the ufuncs directly: the operator form (``addresses >> k``
+    if _is_pow2(config.row_words):
+        # Call the ufunc directly: the operator form (``addresses >> k``
         # with a Python-int scalar) takes numpy's slow scalar-promotion
         # path and costs ~10x more on megaword address runs.
-        dram_row = np.right_shift(addresses, row_words.bit_length() - 1)
-        bank = np.bitwise_and(dram_row, banks - 1)
-        row = np.right_shift(dram_row, banks.bit_length() - 1)
-        return bank, row
-    dram_row = addresses // row_words
-    bank = dram_row % banks
-    row = dram_row // banks
-    return bank, row
+        return np.right_shift(addresses, config.row_words.bit_length() - 1)
+    return addresses // config.row_words
+
+
+def _bank_and_row(
+    dram_rows: np.ndarray, config: DRAMConfig
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Split global DRAM rows into (bank, row-within-bank) arrays."""
+    banks = config.banks
+    if _is_pow2(banks):
+        return (
+            np.bitwise_and(dram_rows, banks - 1),
+            np.right_shift(dram_rows, banks.bit_length() - 1),
+        )
+    return dram_rows % banks, dram_rows // banks
+
+
+@dataclass(frozen=True)
+class _RowRuns:
+    """Per-(bank, segment) summary of an address stream: whether the
+    segment touches the bank, the row of its first and last access
+    there, and the row changes between its accesses there.  Each field
+    is a ``(banks, segments)`` array."""
+
+    touched: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    changes: np.ndarray
+
+
+def _row_runs(
+    addresses: np.ndarray, lengths: np.ndarray, config: DRAMConfig
+) -> _RowRuns:
+    """The kernel: reduce each segment of ``addresses`` (segment ``i``
+    spans the next ``lengths[i]`` entries) to a :class:`_RowRuns`.
+
+    The stream is first compressed to DRAM-row runs inside each segment:
+    an access to the same row as the access before it can never
+    activate, so a sequential segment shrinks ``row_words``-fold.  A
+    stable sort by bank then lines every (bank, segment) group up in
+    program order.
+    """
+    banks = config.banks
+    n_seg = int(lengths.size)
+    runs = _RowRuns(
+        touched=np.zeros((banks, n_seg), dtype=bool),
+        first=np.zeros((banks, n_seg), dtype=np.int64),
+        last=np.zeros((banks, n_seg), dtype=np.int64),
+        changes=np.zeros((banks, n_seg), dtype=np.int64),
+    )
+    if addresses.size == 0:
+        return runs
+    dram_rows = _dram_rows(addresses, config)
+    nonempty = np.flatnonzero(lengths)
+    starts = np.zeros(addresses.size, dtype=bool)
+    starts[(np.cumsum(lengths) - lengths)[nonempty]] = True
+    keep = starts.copy()
+    keep[1:] |= dram_rows[1:] != dram_rows[:-1]
+    seg = nonempty[np.cumsum(starts[keep]) - 1]
+    bank, row = _bank_and_row(dram_rows[keep], config)
+    # Sixteen-bit keys take numpy's linear-time radix sort.
+    order = np.argsort(
+        bank.astype(np.uint16) if banks <= 1 << 16 else bank, kind="stable"
+    )
+    key = bank[order] * n_seg + seg[order]  # flat (bank, segment) index
+    rows = row[order]
+    opens = np.empty(key.size, dtype=bool)  # a group's first access
+    opens[0] = True
+    opens[1:] = key[1:] != key[:-1]
+    closes = np.empty(key.size, dtype=bool)  # a group's last access
+    closes[-1] = True
+    closes[:-1] = opens[1:]
+    runs.touched.reshape(-1)[key[opens]] = True
+    runs.first.reshape(-1)[key[opens]] = rows[opens]
+    runs.last.reshape(-1)[key[closes]] = rows[closes]
+    changed = (rows[1:] != rows[:-1]) & ~opens[1:]
+    runs.changes.reshape(-1)[:] = np.bincount(
+        key[1:][changed], minlength=banks * n_seg
+    )
+    return runs
+
+
+def _fold(runs: _RowRuns, open_rows: Dict[int, int]) -> np.ndarray:
+    """Activations per (bank, segment), in program order.
+
+    A segment's activations in a bank are its row changes there plus
+    one *boundary* activation when its first access finds a different
+    row open — the row the bank's previous segment left, or
+    ``open_rows`` for the run's first.  Updates ``open_rows`` in place.
+    """
+    banks, n_seg = runs.touched.shape
+    if n_seg == 0:
+        return runs.changes.copy()
+    # Latest touching segment at or before each segment, per bank.
+    seen = np.where(runs.touched, np.arange(n_seg), -1)
+    np.maximum.accumulate(seen, axis=1, out=seen)
+    previous = np.empty_like(seen)
+    previous[:, 0] = -1
+    previous[:, 1:] = seen[:, :-1]
+    # Rows are non-negative, so -1 stands for "no row open".  (Index -1
+    # reads a stray last column; np.where discards it.)
+    start = np.asarray([open_rows.get(b, -1) for b in range(banks)])
+    before = np.where(
+        previous >= 0,
+        runs.last[np.arange(banks)[:, None], previous],
+        start[:, None],
+    )
+    for b, s in enumerate(seen[:, -1].tolist()):
+        if s >= 0:
+            open_rows[b] = int(runs.last[b, s])
+    return runs.changes + (runs.touched & (runs.first != before))
+
+
+def _chunked_row_runs(
+    sizes: np.ndarray,
+    materialise: Callable[[int, int, int, int], np.ndarray],
+    config: DRAMConfig,
+) -> _RowRuns:
+    """Run the kernel over groups of ``sizes[c]`` addresses, at most
+    ``_CHUNK_WORDS`` words (or one group) at a time.
+    ``materialise(c0, c1, lo, hi)`` returns the addresses of groups
+    ``c0..c1-1``, words ``lo..hi`` of the whole."""
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if ends.size else 0
+    if total <= _CHUNK_WORDS:
+        return _row_runs(materialise(0, sizes.size, 0, total), sizes, config)
+    parts: List[_RowRuns] = []
+    c0 = 0
+    while c0 < sizes.size:
+        lo = int(ends[c0] - sizes[c0])
+        c1 = max(
+            c0 + 1,
+            int(np.searchsorted(ends, lo + _CHUNK_WORDS, side="right")),
+        )
+        parts.append(
+            _row_runs(
+                materialise(c0, c1, lo, int(ends[c1 - 1])),
+                sizes[c0:c1],
+                config,
+            )
+        )
+        c0 = c1
+    return _RowRuns(
+        *(
+            np.concatenate([getattr(p, f.name) for p in parts], axis=1)
+            for f in fields(_RowRuns)
+        )
+    )
+
+
+def _checked_rates(
+    rates_words_per_cycle: Sequence[float],
+    n_seg: int,
+    kinds: Optional[Sequence[str]],
+) -> np.ndarray:
+    """Validated per-segment issue rates (and kinds)."""
+    rates = np.ascontiguousarray(rates_words_per_cycle, dtype=np.float64)
+    if rates.size != n_seg:
+        raise ConfigError(f"{rates.size} rates for {n_seg} segments")
+    if n_seg and rates.min() <= 0:
+        raise ConfigError("rate_words_per_cycle must be positive")
+    if kinds is not None:
+        for kind in kinds:
+            if kind not in ("read", "write"):
+                raise ConfigError(
+                    f"kind must be 'read' or 'write', got {kind!r}"
+                )
+    return rates
 
 
 class DRAM:
@@ -269,77 +438,88 @@ class DRAM:
         ``seg_lengths[i]`` entries and issues at
         ``rates_words_per_cycle[i]``.  Semantically identical to calling
         :meth:`access` once per segment (open-row state threads through
-        the whole run and persists afterwards), but activation counting
-        is vectorised over the entire address stream — one numpy pass
-        instead of per-segment Python calls — which is what makes
-        megaword blocked mappings (the VIRAM corner turn's thousands of
-        16x16 tiles) fast.
+        the whole run and persists afterwards).  The kernel runs on
+        every segment; :meth:`access_templates` is the same pipeline
+        with segments grouped into shifted classes.
         """
         addresses = np.ascontiguousarray(addresses, dtype=np.int64)
         seg_lengths = np.ascontiguousarray(seg_lengths, dtype=np.int64)
-        rates = np.ascontiguousarray(rates_words_per_cycle, dtype=np.float64)
-        n_seg = int(seg_lengths.size)
-        if rates.size != n_seg:
-            raise ConfigError(
-                f"{rates.size} rates for {n_seg} segments"
-            )
-        if n_seg and seg_lengths.min() < 0:
+        if seg_lengths.size and seg_lengths.min() < 0:
             raise ConfigError("negative segment length")
-        if n_seg and rates.min() <= 0:
-            raise ConfigError("rate_words_per_cycle must be positive")
-        if kinds is not None:
-            for kind in kinds:
-                if kind not in ("read", "write"):
-                    raise ConfigError(
-                        f"kind must be 'read' or 'write', got {kind!r}"
-                    )
         if int(seg_lengths.sum()) != int(addresses.size):
             raise ConfigError(
                 f"segment lengths sum to {int(seg_lengths.sum())} but "
                 f"{int(addresses.size)} addresses were given"
             )
+        rates = _checked_rates(rates_words_per_cycle, seg_lengths.size, kinds)
+        runs = _chunked_row_runs(
+            seg_lengths,
+            lambda c0, c1, lo, hi: addresses[lo:hi],
+            self.config,
+        )
+        return self._cost(seg_lengths, rates, kinds, runs)
 
+    def access_templates(
+        self,
+        stream: TemplateStream,
+        rates_words_per_cycle: Sequence[float],
+        kinds: Optional[Sequence[str]] = None,
+    ) -> DRAMBatchCost:
+        """Cost a program-ordered :class:`TemplateStream`, segment ``i``
+        issuing at ``rates_words_per_cycle[i]``.
+
+        Two segments of one template whose accesses fall in the same
+        global DRAM rows up to a multiple of ``banks`` rows (see
+        :meth:`TemplateStream.classes`) touch the same banks with the
+        same row changes, their rows moved by a whole number.  So the
+        kernel (:func:`_row_runs`) runs once per such class, in bounded
+        chunks; each segment takes its class's summary with its rows
+        shifted, and one fold (:func:`_fold`) threads the open rows
+        through the segments in program order.  The result is exactly
+        that of :meth:`access_run` on the materialised stream.
+        """
+        rates = _checked_rates(rates_words_per_cycle, stream.n_segments, kinds)
+        config = self.config
+        templates, class_bases, seg_class, shift = stream.classes(
+            config.row_words, config.banks
+        )
+        classes = _chunked_row_runs(
+            stream.lengths[templates],
+            lambda c0, c1, lo, hi: gather_shifted(
+                stream.flat,
+                stream.starts,
+                stream.lengths,
+                templates[c0:c1],
+                class_bases[c0:c1],
+            ),
+            config,
+        )
+        runs = _RowRuns(
+            touched=classes.touched[:, seg_class],
+            first=classes.first[:, seg_class] + shift,
+            last=classes.last[:, seg_class] + shift,
+            changes=classes.changes[:, seg_class],
+        )
+        return self._cost(stream.seg_lengths, rates, kinds, runs)
+
+    def _cost(
+        self,
+        seg_lengths: np.ndarray,
+        rates: np.ndarray,
+        kinds: Optional[Sequence[str]],
+        runs: _RowRuns,
+    ) -> DRAMBatchCost:
+        """Fold the segments' row runs through the open rows, price the
+        activations, update the counters, and emit the trace (one span
+        per segment)."""
+        per_bank = _fold(runs, self._open_rows)
         tracer = active_tracer()
+        n_seg = int(seg_lengths.size)
         issue_cycles = np.zeros(n_seg, dtype=np.float64)
         nonempty = seg_lengths > 0
         issue_cycles[nonempty] = seg_lengths[nonempty] / rates[nonempty]
-
-        worst = np.zeros(n_seg, dtype=np.int64)
-        activations = np.zeros(n_seg, dtype=np.int64)
-        if addresses.size:
-            # Segment id of an address position, recovered lazily from the
-            # segment start offsets — materialising a per-address id array
-            # with ``np.repeat`` costs more than the whole bank pass on
-            # megaword runs, and only the (few) activating positions ever
-            # need their segment resolved.
-            seg_starts = np.cumsum(seg_lengths) - seg_lengths
-            bank, row = _bank_and_row(addresses, self.config)
-            # Per bank, in program order: an access activates when its row
-            # differs from the bank's previous access (or its open row, for
-            # the bank's first access of the run).  Banks are independent,
-            # so each is one vectorised pass.
-            for b in range(self.config.banks):
-                idx = np.flatnonzero(bank == b)
-                if idx.size == 0:
-                    continue
-                rows_b = row[idx]
-                changed = np.empty(idx.size, dtype=bool)
-                changed[0] = self._open_rows.get(b) != int(rows_b[0])
-                changed[1:] = rows_b[1:] != rows_b[:-1]
-                per_seg = np.bincount(
-                    np.searchsorted(
-                        seg_starts, idx[changed], side="right"
-                    ) - 1,
-                    minlength=n_seg,
-                )
-                np.maximum(worst, per_seg, out=worst)
-                activations += per_seg
-                self._open_rows[b] = int(rows_b[-1])
-                if tracer is not None:
-                    tracer.count(
-                        f"dram.{self.config.name}.bank{b:02d}.activations",
-                        float(per_seg.sum()),
-                    )
+        worst = per_bank.max(axis=0)
+        activations = per_bank.sum(axis=0)
 
         if self.config.activation_policy == "serialized":
             activation_cycles = activations * self.config.row_cycle
@@ -350,9 +530,15 @@ class DRAM:
                 0.0, worst * self.config.row_cycle - issue_cycles
             )
 
+        words = int(seg_lengths.sum())
         self._total_activations += int(activations.sum())
-        self._total_words += int(addresses.size)
+        self._total_words += words
         if tracer is not None:
+            for b in np.flatnonzero(runs.touched.any(axis=1)):
+                tracer.count(
+                    f"dram.{self.config.name}.bank{int(b):02d}.activations",
+                    float(per_bank[b].sum()),
+                )
             # One span per segment on the device's track, back-to-back at
             # the track cursor: cost models compute durations, not start
             # times, so the timeline shows relative occupancy, and the
@@ -370,9 +556,7 @@ class DRAM:
                         "activations": int(activations[i]),
                     },
                 )
-            tracer.count(
-                f"dram.{self.config.name}.words", float(addresses.size)
-            )
+            tracer.count(f"dram.{self.config.name}.words", float(words))
             tracer.count(
                 f"dram.{self.config.name}.activations",
                 float(activations.sum()),
@@ -399,6 +583,11 @@ class DRAMReference:
     def __init__(self, config: DRAMConfig) -> None:
         self.config = config
         self._open_rows: Dict[int, int] = {}
+
+    @property
+    def open_rows(self) -> Dict[int, int]:
+        """Copy of the per-bank open-row registers (bank -> row)."""
+        return dict(self._open_rows)
 
     def reset(self) -> None:
         self._open_rows.clear()

@@ -9,11 +9,12 @@ streams touch; the model returns the miss count under LRU replacement.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigError
+from repro.memory.streams import TemplateStream, gather_shifted
 from repro.trace.tracer import active_tracer
 
 
@@ -53,6 +54,11 @@ class TLB:
         return self._accesses
 
     @property
+    def resident_pages(self) -> Tuple[int, ...]:
+        """Resident pages in LRU order, least recently used first."""
+        return tuple(self._resident)
+
+    @property
     def stall_cycles(self) -> float:
         """Total exposed refill cycles so far."""
         return self._misses * self.miss_cycles
@@ -69,16 +75,22 @@ class TLB:
         page streams; for long streams prefer :meth:`access_addresses`,
         which compresses runs first.
         """
+        pages = np.asarray(pages, dtype=np.int64)
+        return self._walk(pages, int(pages.size))
+
+    def _walk(self, pages: np.ndarray, lookups: int) -> int:
+        """The LRU loop over ``pages``, accounted as ``lookups`` lookups
+        (the length of the run-compressed stream ``pages`` stands for).
+        """
         # Hot loop: native-int list, bound methods, and batched counter
         # updates keep full-size workloads cheap without changing the
         # miss semantics.
-        pages = np.asarray(pages, dtype=np.int64).tolist()
         misses = 0
         resident = self._resident
         move_to_end = resident.move_to_end
         popitem = resident.popitem
         entries = self.entries
-        for page in pages:
+        for page in pages.tolist():
             if page in resident:
                 move_to_end(page)
                 continue
@@ -86,11 +98,11 @@ class TLB:
             resident[page] = None
             if len(resident) > entries:
                 popitem(last=False)
-        self._accesses += len(pages)
+        self._accesses += lookups
         self._misses += misses
         tracer = active_tracer()
         if tracer is not None:
-            tracer.count("tlb.accesses", float(len(pages)))
+            tracer.count("tlb.accesses", float(lookups))
             tracer.count("tlb.misses", float(misses))
             if misses:
                 # The exposed refill time for this batch, at the track
@@ -100,7 +112,7 @@ class TLB:
                     "refill",
                     "tlb",
                     misses * self.miss_cycles,
-                    args={"misses": misses, "pages": len(pages)},
+                    args={"misses": misses, "pages": lookups},
                 )
         return misses
 
@@ -116,7 +128,118 @@ class TLB:
         addresses = np.asarray(word_addresses, dtype=np.int64)
         if addresses.size == 0:
             return 0
-        pages = addresses // self.page_words
+        return self.access_pages(_page_runs(addresses // self.page_words))
+
+    def access_templates(self, stream: TemplateStream) -> int:
+        """Translate a :class:`TemplateStream`; returns misses added.
+
+        Exactly :meth:`access_addresses` on the materialised stream
+        (misses, final LRU order, lookup count), but segments whose pages
+        differ only by a whole shift (:meth:`TemplateStream.classes`)
+        are paged once.  A segment that
+        touches at most ``entries`` distinct pages cannot evict any of
+        them once touched: every page it has touched is more recent than
+        every page it has not.  So its pages in first-touch order, then
+        in last-touch order, miss and leave the LRU order exactly as the
+        segment does.  Any other segment passes its run-compressed pages
+        through unchanged.
+        """
+        if stream.n_words == 0:
+            return 0
+        templates, class_bases, seg_class, shift = stream.classes(
+            self.page_words
+        )
+        replays, replay_lengths, counts, firsts, lasts = self._class_replays(
+            stream, templates, class_bases
+        )
+        pages = gather_shifted(
+            replays,
+            np.cumsum(replay_lengths) - replay_lengths,
+            replay_lengths,
+            seg_class,
+            shift,
+        )
+        # Lookups of the materialised stream: every class run, less one
+        # where a segment opens on the page the segment before it closed.
+        live = np.flatnonzero(counts[seg_class])
+        seg_first = firsts[seg_class[live]] + shift[live]
+        seg_last = lasts[seg_class[live]] + shift[live]
+        lookups = int(counts[seg_class].sum()) - int(
+            np.count_nonzero(seg_first[1:] == seg_last[:-1])
+        )
+        return self._walk(_page_runs(pages), lookups)
+
+    def _class_replays(
+        self, stream: TemplateStream, templates: np.ndarray, bases: np.ndarray
+    ) -> Tuple[np.ndarray, ...]:
+        """Per class, in one vectorised pass: its replay pages and their
+        count, its run-compressed page count, and its first and last
+        page (pages of the class base; a segment adds its shift).
+
+        Returns ``(replays, replay_lengths, counts, firsts, lasts)``;
+        ``replays`` holds the classes' replays back to back.
+        """
+        n_classes = int(templates.size)
+        pages = (
+            gather_shifted(
+                stream.flat, stream.starts, stream.lengths, templates, bases
+            )
+            // self.page_words
+        )
+        cls = np.repeat(
+            np.arange(n_classes, dtype=np.int64), stream.lengths[templates]
+        )
         keep = np.ones(pages.size, dtype=bool)
-        keep[1:] = pages[1:] != pages[:-1]
-        return self.access_pages(pages[keep])
+        keep[1:] = (pages[1:] != pages[:-1]) | (cls[1:] != cls[:-1])
+        pages, cls = pages[keep], cls[keep]
+        counts = np.bincount(cls, minlength=n_classes)
+        ends = np.cumsum(counts)
+        live = counts > 0
+        firsts = np.zeros(n_classes, dtype=np.int64)
+        lasts = np.zeros(n_classes, dtype=np.int64)
+        firsts[live] = pages[(ends - counts)[live]]
+        lasts[live] = pages[ends[live] - 1]
+
+        # Distinct (class, page) pairs.  lexsort is stable, so a pair's
+        # first sorted slot is its first touch and its last its last.
+        order = np.lexsort((pages, cls))
+        pair_start = np.ones(order.size, dtype=bool)
+        pair_start[1:] = (np.diff(pages[order]) != 0) | (
+            np.diff(cls[order]) != 0
+        )
+        starts = np.flatnonzero(pair_start)
+        first_touch = order[starts]
+        last_touch = order[np.append(starts[1:], order.size) - 1]
+        pair_cls = cls[first_touch]
+        folds = np.bincount(pair_cls, minlength=n_classes) <= self.entries
+        # Replay elements sorted by (class, part, position): a class that
+        # folds plays its pages by first touch (part 0), then by last
+        # touch (part 1); any other plays its run-compressed pages.
+        folded = folds[pair_cls]
+        passed = np.flatnonzero(~folds[cls])
+        n_folded = int(np.count_nonzero(folded))
+        elem_cls = np.concatenate(
+            (pair_cls[folded], pair_cls[folded], cls[passed])
+        )
+        elem_part = np.repeat([0, 1, 0], [n_folded, n_folded, passed.size])
+        elem_pos = np.concatenate(
+            (first_touch[folded], last_touch[folded], passed)
+        )
+        replay = np.lexsort((elem_pos, elem_part, elem_cls))
+        return (
+            pages[elem_pos[replay]],
+            np.bincount(elem_cls, minlength=n_classes),
+            counts,
+            firsts,
+            lasts,
+        )
+
+
+def _page_runs(pages: np.ndarray) -> np.ndarray:
+    """``pages`` with consecutive repeats dropped (a repeated hit never
+    changes the LRU order)."""
+    if pages.size == 0:
+        return pages
+    keep = np.ones(pages.size, dtype=bool)
+    keep[1:] = pages[1:] != pages[:-1]
+    return pages[keep]

@@ -146,23 +146,50 @@ def _encode(obj: Any, parts: List[bytes]) -> None:
 _VERSION_STAMP: Optional[str] = None
 
 
-#: Package subtrees (and top-level modules) whose source determines the
-#: modelled numbers; hashed into :func:`model_version_stamp`.
+#: Package subtrees and modules whose source determines the modelled
+#: numbers; hashed into :func:`model_version_stamp`.  ``units.py`` sizes
+#: buffers and strips (``WORD_BYTES``).  ``perf/cache.py`` is hashed for
+#: :func:`content_digest`, which names every record's functional output:
+#: an edit to the cache module re-keys the disk tier, the cheap side of
+#: the trade against serving digests the current source would not
+#: compute.
 _MODEL_SOURCE = (
     "arch", "mappings", "kernels", "memory", "sim", "models",
-    "calibration.py",
+    "calibration.py", "units.py", "perf/cache.py",
 )
 
+#: Modules the model source imports but the stamp leaves out, each with
+#: the reason it cannot change a modelled number or a record.
+#: ``invariant.cache.stamp-covers-model`` fails on any other unhashed
+#: module in the model's ``repro.*`` import closure.
+STAMP_EXEMPT: Dict[str, str] = {
+    "repro": "package root: __version__, which the stamp folds in itself",
+    "repro.errors": "exception types only",
+    "repro.trace.tracer": (
+        "observes the costing calls; invariant.trace.* proves a traced "
+        "run equals an untraced one"
+    ),
+    "repro.perf.timers": "wall-clock timers around the registry dispatch",
+    "repro.perf.diskcache": (
+        "the record store, whose round trip oracle.diskcache.* checks"
+    ),
+}
 
-def _model_source_digest(package: Path) -> bytes:
-    """sha256 over every model source file under ``package``, each
-    framed by its package-relative path, in sorted order."""
-    digest = hashlib.sha256()
+
+def model_source_files(package: Path) -> List[Path]:
+    """Every source file the stamp hashes, in sorted order."""
     files: List[Path] = []
     for name in _MODEL_SOURCE:
         entry = package / name
         files.extend([entry] if entry.is_file() else entry.rglob("*.py"))
-    for path in sorted(files):
+    return sorted(files)
+
+
+def _model_source_digest(package: Path) -> bytes:
+    """sha256 over every model source file under ``package``, each
+    framed by its package-relative path."""
+    digest = hashlib.sha256()
+    for path in model_source_files(package):
         relative = path.relative_to(package).as_posix().encode()
         content = path.read_bytes()
         digest.update(f"{len(relative)}:{len(content)}:".encode())

@@ -29,6 +29,7 @@ class TestScenarios:
             "diskcache",
             "executor",
             "dram",
+            "dram.folded",
         }
 
     def test_every_fault_detected(self):

@@ -6,6 +6,7 @@ an invariant that cannot fail validates nothing.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +225,67 @@ class TestEngineConservation:
         assert engine.events_processed == 100
         assert engine.events_cancelled == 400
         assert engine.conservation_ok
+
+
+class TestStampCoverage:
+    def test_passes_on_the_tree(self):
+        from repro.check.invariants import check_stamp_coverage
+
+        (result,) = check_stamp_coverage()
+        assert result.status == PASS, result.format()
+
+    def test_names_a_shared_module_the_stamp_skips(self, monkeypatch):
+        from repro.check.invariants import check_stamp_coverage
+        from repro.perf import cache as cache_module
+
+        monkeypatch.setattr(
+            cache_module,
+            "_MODEL_SOURCE",
+            tuple(m for m in cache_module._MODEL_SOURCE if m != "units.py"),
+        )
+        (result,) = check_stamp_coverage()
+        assert result.status == FAIL
+        assert "repro.units" in result.detail
+
+    def test_exempt_modules_are_not_hashed(self):
+        """An exemption only makes sense for a module the stamp does
+        not already cover."""
+        import repro
+        from repro.perf.cache import STAMP_EXEMPT, model_source_files
+
+        package = Path(repro.__file__).parent
+        hashed = {
+            p.relative_to(package.parent).with_suffix("").as_posix()
+            for p in model_source_files(package)
+        }
+        for module in STAMP_EXEMPT:
+            assert module.replace(".", "/") not in hashed
+
+    def test_import_scan_matches_an_ast_walk(self):
+        """The line scan the check uses finds exactly the imports a full
+        parse finds, on every stamped file."""
+        import ast
+
+        import repro
+        from repro.check.invariants import _module_of, _repro_imports
+        from repro.perf.cache import model_source_files
+
+        package = Path(repro.__file__).parent
+        for path in model_source_files(package):
+            parsed = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    parsed.update(
+                        a.name
+                        for a in node.names
+                        if a.name.split(".")[0] == "repro"
+                    )
+                elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                    (node.module or "").split(".")[0] == "repro"
+                ):
+                    parsed.update(
+                        _module_of(package, f"{node.module}.{a.name}")
+                        or node.module
+                        for a in node.names
+                    )
+            assert set(_repro_imports(path, package)) == parsed, path

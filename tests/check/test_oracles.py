@@ -191,3 +191,50 @@ class TestDramOracle:
         assert all(r.status != FAIL for r in results), [
             r.format() for r in results if r.status == FAIL
         ]
+
+
+class TestFoldedOracles:
+    def test_green_on_the_tree(self):
+        from repro.check.oracles import folded_dram_oracle, folded_tlb_oracle
+
+        for result in folded_dram_oracle() + folded_tlb_oracle():
+            assert result.status == PASS, result.format()
+
+    def test_dropped_boundary_term_is_caught(self):
+        """The fold's cross-segment term is what the template front end
+        adds over per-class costing; without it the folded oracle must
+        turn red against the per-access reference."""
+        from repro.check.faults import dropped_fold_boundary
+        from repro.check.oracles import folded_dram_oracle
+
+        with dropped_fold_boundary():
+            (result,) = folded_dram_oracle()
+        assert result.status == FAIL
+        assert "reference" in result.detail
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (1.0, 1.0),
+        (1.0, 1.0 + 2**-52),
+        (0.0, -0.0),
+        (float("inf"), float("inf")),
+        (float("inf"), -float("inf")),
+        (float("nan"), float("nan")),
+        (3, 3.0),
+        (2.5, "2.5x"),
+    ],
+)
+def test_exact_close_matches_numpy(a, b):
+    """At rtol=0 the comparison is plain float equality, exactly what
+    np.isclose(rtol=0, atol=0) answers."""
+    import numpy as np
+
+    from repro.check.oracles import _close
+
+    try:
+        expected = bool(np.isclose(float(a), float(b), rtol=0.0, atol=0.0))
+    except (TypeError, ValueError):
+        expected = False
+    assert _close(a, b, 0.0) is expected

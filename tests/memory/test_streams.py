@@ -12,6 +12,7 @@ from repro.memory.streams import (
     Gather,
     Sequential,
     Strided,
+    TemplateStream,
     Tiled2D,
 )
 
@@ -142,3 +143,80 @@ def test_tiled_row_and_col_are_permutations(rows, cols, base):
     col = Tiled2D(base, rows, cols, pitch, order="col").addresses()
     assert sorted(row.tolist()) == sorted(col.tolist())
     assert row.size == rows * cols
+
+
+class TestTemplateStream:
+    def test_equal_shapes_share_one_template(self):
+        patterns = [
+            Tiled2D(0, 2, 3, 10),
+            Sequential(7, 4),
+            Tiled2D(55, 2, 3, 10),
+            Gather(5, [3, 1]),
+            Sequential(100, 4),
+        ]
+        stream = TemplateStream.from_patterns(patterns)
+        assert stream.lengths.size == 3  # tile, sequential, gather
+        assert stream.template_ids.tolist() == [0, 1, 0, 2, 1]
+        assert np.array_equal(
+            stream.addresses(),
+            np.concatenate([p.addresses() for p in patterns]),
+        )
+        assert stream.seg_lengths.tolist() == [6, 4, 6, 2, 4]
+
+    def test_classes_share_units_up_to_whole_cycles(self):
+        """A class's base puts every template offset in the same unit
+        as each member segment does, up to whole cycles; bases whose
+        offsets carry alike share a class."""
+        stream = TemplateStream(
+            [[0, 1, 9], [5]], [0, 0, 0, 1, 0, 0], [3, 35, 5, 3, 67, 7]
+        )
+        templates, bases, seg_class, shift = stream.classes(8, cycle=4)
+        # Template 0's offsets are 0 and 1 mod 8: only a base 7 mod 8
+        # carries one into the next unit.  Bases 3, 5 and 35 carry
+        # nothing and differ by whole cycles (32 words): one class.
+        assert seg_class[0] == seg_class[1] == seg_class[2]
+        assert len({seg_class[0], seg_class[3], seg_class[5]}) == 3
+        assert shift.tolist() == [0, 1, 0, 0, 2, 0]
+        for i in range(stream.n_segments):
+            c = seg_class[i]
+            assert templates[c] == stream.template_ids[i]
+            offsets = stream.template(int(templates[c]))
+            assert np.array_equal(
+                (stream.bases[i] + offsets) // 8,
+                (bases[c] + offsets) // 8 + 4 * shift[i],
+            )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ([[0, -1]], [0], [0]),  # negative offset
+            ([[0]], [0], [-4]),  # negative base
+            ([[0]], [1], [0]),  # unknown template
+            ([[0]], [0, 0], [0]),  # ids and bases disagree
+        ],
+    )
+    def test_invalid_rejected(self, args):
+        with pytest.raises(PatternError):
+            TemplateStream(*args)
+
+
+@given(
+    st.integers(0, 500),
+    st.integers(0, 500),
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.integers(0, 20),
+    st.sampled_from(["row", "col"]),
+)
+def test_equal_shapes_are_shifted_copies(base, other, rows, cols, extra, order):
+    """Patterns whose ``template()`` shapes are equal differ only by the
+    difference of their bases."""
+    for make in (
+        lambda b: Tiled2D(b, rows, cols, cols + extra, order=order),
+        lambda b: Sequential(b, rows * cols),
+        lambda b: Strided(b, rows, extra + 1),
+    ):
+        p, q = make(base), make(other)
+        (shape_p, base_p), (shape_q, base_q) = p.template(), q.template()
+        assert shape_p == shape_q
+        assert np.array_equal(p.addresses() - base_p, q.addresses() - base_q)

@@ -152,6 +152,43 @@ class TestVersionStamp:
             cache_module.reset_model_version_stamp()
         assert model_version_stamp() == old_stamp
 
+    @pytest.mark.parametrize(
+        "relative, old, new",
+        [
+            ("units.py", "WORD_BYTES = 4", "WORD_BYTES = 8"),
+            ("perf/cache.py", 'b"content|"', 'b"content/2|"'),
+        ],
+    )
+    def test_shared_module_edit_moves_the_stamp(
+        self, tmp_path, monkeypatch, relative, old, new
+    ):
+        """``units.py`` (``WORD_BYTES`` sizes Imagine's strips) and
+        ``perf/cache.py`` (``content_digest`` names every record's
+        output) sit outside the model packages but are hashed too."""
+        import repro
+
+        package = tmp_path / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent,
+            package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        old_stamp = model_version_stamp()
+        monkeypatch.setattr(repro, "__file__", str(package / "__init__.py"))
+        cache_module.reset_model_version_stamp()
+        try:
+            assert model_version_stamp() == old_stamp
+            source = package / relative
+            text = source.read_text()
+            assert old in text
+            source.write_text(text.replace(old, new, 1))
+            cache_module.reset_model_version_stamp()
+            assert model_version_stamp() != old_stamp
+        finally:
+            monkeypatch.undo()
+            cache_module.reset_model_version_stamp()
+        assert model_version_stamp() == old_stamp
+
     def test_version_bump_invalidates_persisted_entries(
         self, monkeypatch, small_ct
     ):
